@@ -29,10 +29,53 @@ namespace bench {
 /// A flat JSON object of bench results, written in insertion order.
 /// Numbers render with full round-trip precision ("%.17g"); non-finite
 /// doubles render as strings ("inf"/"-inf"/"nan") since JSON has no
-/// literal for them. Keys are emitted as-is (the benches use plain
-/// identifiers); string values get minimal escaping.
+/// literal for them. Keys and string values are escaped (Quote), so any
+/// bytes produce a valid document.
 class JsonSummary {
  public:
+  /// `text` as a JSON string literal: quotes and backslashes escaped,
+  /// control characters as \b \f \n \r \t or \u00XX. Other bytes
+  /// pass through unchanged (UTF-8 stays UTF-8).
+  static std::string Quote(const std::string& text) {
+    std::string out = "\"";
+    for (const char c : text) {
+      switch (c) {
+        case '"':
+          out += "\\\"";
+          break;
+        case '\\':
+          out += "\\\\";
+          break;
+        case '\b':
+          out += "\\b";
+          break;
+        case '\f':
+          out += "\\f";
+          break;
+        case '\n':
+          out += "\\n";
+          break;
+        case '\r':
+          out += "\\r";
+          break;
+        case '\t':
+          out += "\\t";
+          break;
+        default:
+          if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned>(static_cast<unsigned char>(c)));
+            out += buf;
+          } else {
+            out += c;
+          }
+      }
+    }
+    out += '"';
+    return out;
+  }
+
   void Set(const std::string& key, double value) {
     if (!std::isfinite(value)) {
       entries_.emplace_back(
@@ -53,13 +96,7 @@ class JsonSummary {
   }
 
   void Set(const std::string& key, const std::string& value) {
-    std::string quoted = "\"";
-    for (char c : value) {
-      if (c == '"' || c == '\\') quoted += '\\';
-      quoted += c;
-    }
-    quoted += '"';
-    entries_.emplace_back(key, std::move(quoted));
+    entries_.emplace_back(key, Quote(value));
   }
 
   /// Writes the object to `path`; returns false (with a message on
@@ -72,7 +109,7 @@ class JsonSummary {
     }
     std::fprintf(f, "{\n");
     for (size_t i = 0; i < entries_.size(); ++i) {
-      std::fprintf(f, "  \"%s\": %s%s\n", entries_[i].first.c_str(),
+      std::fprintf(f, "  %s: %s%s\n", Quote(entries_[i].first).c_str(),
                    entries_[i].second.c_str(),
                    i + 1 < entries_.size() ? "," : "");
     }

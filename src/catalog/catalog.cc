@@ -1,5 +1,7 @@
 #include "catalog/catalog.h"
 
+#include <algorithm>
+
 namespace pinum {
 
 StatusOr<TableId> Catalog::AddTable(TableDef table) {
@@ -41,6 +43,7 @@ StatusOr<IndexId> Catalog::AddIndex(IndexDef index) {
   const IndexId id = next_index_id_++;
   index.id = id;
   index_names_[index.name] = id;
+  table_indexes_[index.table].push_back(id);
   indexes_[id] = std::move(index);
   return id;
 }
@@ -51,6 +54,8 @@ Status Catalog::DropIndex(IndexId id) {
     return Status::NotFound("no index with id " + std::to_string(id));
   }
   index_names_.erase(it->second.name);
+  std::vector<IndexId>& on_table = table_indexes_[it->second.table];
+  on_table.erase(std::find(on_table.begin(), on_table.end(), id));
   indexes_.erase(it);
   return Status::OK();
 }
@@ -86,8 +91,29 @@ const IndexDef* Catalog::FindIndexByName(const std::string& name) const {
 
 std::vector<const IndexDef*> Catalog::IndexesOnTable(TableId table) const {
   std::vector<const IndexDef*> out;
-  for (const auto& [id, idx] : indexes_) {
-    if (idx.table == table) out.push_back(&idx);
+  auto it = table_indexes_.find(table);
+  if (it == table_indexes_.end()) return out;
+  out.reserve(it->second.size());
+  for (IndexId id : it->second) out.push_back(FindIndex(id));
+  return out;
+}
+
+Catalog Catalog::WithOnlyIndexes(const std::vector<IndexId>& keep) const {
+  Catalog out;
+  out.tables_ = tables_;
+  out.table_names_ = table_names_;
+  out.fks_ = fks_;
+  out.next_table_id_ = next_table_id_;
+  out.next_index_id_ = next_index_id_;
+  for (IndexId id : keep) {
+    auto it = indexes_.find(id);
+    if (it == indexes_.end()) continue;
+    if (out.indexes_.emplace(id, it->second).second) {
+      out.index_names_.emplace(it->second.name, id);
+    }
+  }
+  for (const auto& [id, idx] : out.indexes_) {
+    out.table_indexes_[idx.table].push_back(id);
   }
   return out;
 }

@@ -37,8 +37,16 @@ class Catalog {
   const TableDef* FindTableByName(const std::string& name) const;
   const IndexDef* FindIndex(IndexId id) const;
   const IndexDef* FindIndexByName(const std::string& name) const;
-  /// Indexes defined over `table`, in id order.
+  /// Indexes defined over `table`, in id order. Costs O(indexes on the
+  /// table), not O(all indexes).
   std::vector<const IndexDef*> IndexesOnTable(TableId table) const;
+
+  /// A copy with every table and foreign key but only the indexes of
+  /// `keep` (ids not in this catalog are ignored), each under its
+  /// current id. Later AddIndex ids continue after this catalog's, as
+  /// if the other indexes had been dropped. Costs O(tables + |keep|),
+  /// not a copy of every index.
+  Catalog WithOnlyIndexes(const std::vector<IndexId>& keep) const;
 
   const std::map<TableId, TableDef>& tables() const { return tables_; }
   const std::map<IndexId, IndexDef>& indexes() const { return indexes_; }
@@ -55,6 +63,8 @@ class Catalog {
   std::map<IndexId, IndexDef> indexes_;
   std::map<std::string, TableId> table_names_;
   std::map<std::string, IndexId> index_names_;
+  /// Table id -> its index ids, ascending (ids only grow).
+  std::map<TableId, std::vector<IndexId>> table_indexes_;
   std::vector<ForeignKey> fks_;
   TableId next_table_id_ = 0;
   IndexId next_index_id_ = 0;

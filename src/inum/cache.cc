@@ -1,29 +1,38 @@
 #include "inum/cache.h"
 
 #include <algorithm>
-#include <sstream>
+#include <string>
 
 namespace pinum {
 
 std::string CachedPlan::RequirementKey() const {
-  std::ostringstream key;
+  std::string key;
+  key.reserve(slots.size() * 16);
   for (const auto& s : slots) {
-    key << s.table_pos << ":";
+    key += std::to_string(s.table_pos);
+    key += ':';
     switch (s.req) {
       case LeafReqKind::kUnordered:
-        key << "u";
+        key += 'u';
         break;
       case LeafReqKind::kOrdered:
-        key << "o" << s.column.table << "." << s.column.column;
+        key += 'o';
+        key += std::to_string(s.column.table);
+        key += '.';
+        key += std::to_string(s.column.column);
         break;
       case LeafReqKind::kProbe:
-        key << "p" << s.column.table << "." << s.column.column << "x"
-            << static_cast<int64_t>(s.multiplier);
+        key += 'p';
+        key += std::to_string(s.column.table);
+        key += '.';
+        key += std::to_string(s.column.column);
+        key += 'x';
+        key += std::to_string(static_cast<int64_t>(s.multiplier));
         break;
     }
-    key << ";";
+    key += ';';
   }
-  return key.str();
+  return key;
 }
 
 void InumCache::AddPlan(const Path& plan, const Catalog& catalog,

@@ -107,12 +107,11 @@ StatusOr<InumCache> BuildInumCacheClassic(const Query& query,
     }
     Catalog single = candidates.Subset({candidate});
     Optimizer opt(&single, &stats);
-    PlannerKnobs knobs = options.base_knobs;
-    knobs.hooks.keep_all_access_paths = true;  // stand-in for plan parsing
-    knobs.hooks.export_all_plans = false;
+    // The collector's output stands in for parsing the generated plan.
     PINUM_RETURN_IF_ERROR(FailPoint::Check("inum.access_optimizer_call"));
-    PINUM_ASSIGN_OR_RETURN(OptimizeResult result, opt.Optimize(query, knobs));
-    for (const auto& info : result.access_info) {
+    PINUM_ASSIGN_OR_RETURN(std::vector<TableAccessInfo> access,
+                           opt.CollectAccessPaths(query, options.base_knobs));
+    for (const auto& info : access) {
       cache.mutable_access()->Absorb(info);
       if (store != nullptr) {
         if (info.table == def->table) {
@@ -142,13 +141,11 @@ StatusOr<InumCache> BuildInumCacheClassic(const Query& query,
     }
     if (fallback_needed) {
       Optimizer opt(&base_catalog, &stats);
-      PlannerKnobs knobs = options.base_knobs;
-      knobs.hooks.keep_all_access_paths = true;
-      knobs.hooks.export_all_plans = false;
       PINUM_RETURN_IF_ERROR(FailPoint::Check("inum.access_optimizer_call"));
-      PINUM_ASSIGN_OR_RETURN(OptimizeResult result,
-                             opt.Optimize(query, knobs));
-      for (const auto& info : result.access_info) {
+      PINUM_ASSIGN_OR_RETURN(
+          std::vector<TableAccessInfo> access,
+          opt.CollectAccessPaths(query, options.base_knobs));
+      for (const auto& info : access) {
         cache.mutable_access()->Absorb(info);
         store->StoreFallback(signature_of(info.table), info);
       }

@@ -3,15 +3,24 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <string>
+#include <utility>
 
 namespace pinum {
 
 namespace {
-constexpr double kCostFuzz = 1e-9;
+
+/// The join planner only needs single-column sorts (interesting orders
+/// are truncated to their leading column), so "delivers `col` order" is
+/// "leads with `col`" — OrderSpec::Satisfies(Single(col)) without
+/// building the Single.
+bool LeadsWith(const OrderSpec& order, ColumnRef col) {
+  return !order.empty() && order.columns[0] == col;
+}
 
 /// Merges two position-sorted leaf vectors, preserving the order.
-std::vector<LeafSlot> MergeLeaves(const std::vector<LeafSlot>& a,
-                                  const std::vector<LeafSlot>& b) {
+std::vector<LeafSlot> MergeLeaves(std::span<const LeafSlot> a,
+                                  std::span<const LeafSlot> b) {
   std::vector<LeafSlot> out;
   out.reserve(a.size() + b.size());
   std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out),
@@ -21,8 +30,32 @@ std::vector<LeafSlot> MergeLeaves(const std::vector<LeafSlot>& a,
   return out;
 }
 
+/// LeafCostSum() of MergeLeaves(a, b), summed in the same order so the
+/// rounding matches.
+double MergedLeafCostSum(std::span<const LeafSlot> a,
+                         std::span<const LeafSlot> b) {
+  double sum = 0;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() || j < b.size()) {
+    const bool take_b =
+        i == a.size() || (j < b.size() && b[j].table_pos < a[i].table_pos);
+    const LeafSlot& l = take_b ? b[j++] : a[i++];
+    sum += l.multiplier * l.unit_cost;
+  }
+  return sum;
+}
+
 void SetInternalCost(Path* p) {
   p->internal_cost = p->cost.total - p->LeafCostSum();
+}
+
+/// Standard add_path dominance over (total, startup, order).
+bool CostOrderDominates(const Cost& a, const OrderSpec& a_order,
+                        const Cost& b, const OrderSpec& b_order) {
+  if (a.total > b.total + kCostFuzz) return false;
+  if (a.startup > b.startup + kCostFuzz) return false;
+  return a_order.Satisfies(b_order);
 }
 
 }  // namespace
@@ -44,9 +77,7 @@ bool PathDominates(const Path& a, const Path& b,
     return LeafReqsSubsumedBy(a, b);
   }
   // Standard PostgreSQL add_path semantics.
-  if (a.cost.total > b.cost.total + kCostFuzz) return false;
-  if (a.cost.startup > b.cost.startup + kCostFuzz) return false;
-  return a.order.Satisfies(b.order);
+  return CostOrderDominates(a.cost, a.order, b.cost, b.order);
 }
 
 void AddPath(std::vector<PathPtr>* paths, PathPtr path,
@@ -61,6 +92,22 @@ void AddPath(std::vector<PathPtr>* paths, PathPtr path,
     }
   }
   paths->push_back(std::move(path));
+}
+
+bool AddPathRejects(const std::vector<PathPtr>& paths, const Cost& cost,
+                    const OrderSpec& order) {
+  // AddPath's walk, stopped at its first effect: a dominator met first
+  // drops the newcomer with `paths` untouched; a path the newcomer
+  // dominates met first is erased even if a later path then rejects it.
+  for (const PathPtr& p : paths) {
+    if (CostOrderDominates(p->cost, p->order, cost, order)) return true;
+    if (CostOrderDominates(cost, order, p->cost, p->order)) return false;
+  }
+  return false;
+}
+
+bool ReplacesSameKey(double newcomer_internal, double incumbent_internal) {
+  return newcomer_internal < incumbent_internal - kCostFuzz;
 }
 
 void DominancePrune(std::vector<PathPtr>* paths) {
@@ -83,23 +130,91 @@ void DominancePrune(std::vector<PathPtr>* paths) {
   *paths = std::move(kept);
 }
 
-void JoinPlanner::Add(Cell* cell, PathPtr path) {
+uint32_t JoinPlanner::RequirementSets::Singleton(const LeafSlot& slot) {
+  // Exactly the fields RequirementOrderKey() renders for a leaf.
+  const int column =
+      slot.req == LeafReqKind::kUnordered ? -1 : slot.column.column;
+  const int64_t times = slot.req == LeafReqKind::kProbe
+                            ? static_cast<int64_t>(slot.multiplier)
+                            : 0;
+  const std::tuple<int, int, int, int64_t> key{
+      slot.table_pos, static_cast<int>(slot.req), column, times};
+  const auto it =
+      slots_.try_emplace(key, static_cast<uint32_t>(slots_.size())).first;
+  return Cons(slot.table_pos, it->second, 0);
+}
+
+uint32_t JoinPlanner::RequirementSets::Union(uint32_t a, uint32_t b) {
+  if (a == 0) return b;
+  if (b == 0) return a;
+  // Copies: the recursion may grow nodes_.
+  const Node x = nodes_[a];
+  const Node y = nodes_[b];
+  return x.pos < y.pos ? Cons(x.pos, x.slot, Union(x.rest, b))
+                       : Cons(y.pos, y.slot, Union(a, y.rest));
+}
+
+uint32_t JoinPlanner::RequirementSets::Cons(int pos, uint32_t slot,
+                                            uint32_t rest) {
+  // A slot id already encodes its table position.
+  const auto [it, inserted] = conses_.try_emplace(
+      uint64_t{slot} << 32 | rest, static_cast<uint32_t>(nodes_.size()));
+  if (inserted) nodes_.push_back({pos, slot, rest});
+  return it->second;
+}
+
+uint32_t JoinPlanner::OrderCode(const OrderSpec& order) {
+  if (order.empty()) return 0;
+  const ColumnRef lead = order.Leading();
+  const auto it =
+      std::find(order_columns_.begin(), order_columns_.end(), lead);
+  if (it != order_columns_.end()) {
+    return static_cast<uint32_t>(it - order_columns_.begin()) + 1;
+  }
+  order_columns_.push_back(lead);
+  return static_cast<uint32_t>(order_columns_.size());
+}
+
+JoinPlanner::Admission JoinPlanner::Admit(const Cell& cell, const Cost& cost,
+                                          const OrderSpec& order,
+                                          double leaf_cost,
+                                          uint32_t requirement_set) {
   ++paths_considered_;
+  Admission admission;
+  if (!ctx_->knobs.hooks.export_all_plans) {
+    admission.keep = !AddPathRejects(cell.paths, cost, order);
+    return admission;
+  }
+  // Export mode: one path per (order, requirements) key, keeping the
+  // smallest internal cost. Cross-key dominance pruning runs once per
+  // completed cell (FinalizeCell).
+  admission.internal_cost = cost.total - leaf_cost;
+  admission.requirement_set = requirement_set;
+  admission.key = uint64_t{OrderCode(order)} << 32 | requirement_set;
+  const auto it = cell_keys_.find(admission.key);
+  if (it == cell_keys_.end()) {
+    admission.keep = true;
+  } else if (ReplacesSameKey(admission.internal_cost,
+                             cell.paths[it->second]->internal_cost)) {
+    admission.keep = true;
+    admission.replace = it->second;
+  }
+  return admission;
+}
+
+void JoinPlanner::Insert(Cell* cell, const Admission& admission,
+                         PathPtr path) {
   if (!ctx_->knobs.hooks.export_all_plans) {
     AddPath(&cell->paths, std::move(path), /*preserve_ioc_diversity=*/false);
     return;
   }
-  // Export mode: O(1) dedup on the (order, requirements) key, keeping the
-  // path with the smallest internal cost. Cross-key dominance pruning
-  // runs once per completed cell (FinalizeCell).
-  SetInternalCost(path.get());
-  const std::string key = path->RequirementOrderKey();
-  auto [it, inserted] = cell->by_key.try_emplace(key, cell->paths.size());
-  if (inserted) {
+  path->internal_cost = admission.internal_cost;
+  path->requirement_set = admission.requirement_set;
+  if (admission.replace == Admission::kAppend) {
+    cell_keys_.emplace(admission.key, cell->paths.size());
     cell->paths.push_back(std::move(path));
-  } else if (path->internal_cost <
-             cell->paths[it->second]->internal_cost - kCostFuzz) {
-    cell->paths[it->second] = std::move(path);
+  } else {
+    cell->paths[admission.replace] = std::move(path);
   }
 }
 
@@ -108,15 +223,33 @@ void JoinPlanner::FinalizeCell(Cell* cell) {
   if (!ctx_->knobs.hooks.disable_dominance_pruning) {
     DominancePrune(&cell->paths);
   }
-  cell->by_key.clear();
+  cell_keys_.clear();
 }
 
 JoinPlanner::Cell JoinPlanner::MakeBaseCell(int pos) {
   const TableAccessInfo& info = ctx_->rels[static_cast<size_t>(pos)];
+  const bool export_mode = ctx_->knobs.hooks.export_all_plans;
   Cell cell;
   cell.rows = info.filtered_rows;
   cell.width = info.needed_width;
   for (const ScanOption& opt : info.options) {
+    LeafSlot slot;
+    slot.table_pos = pos;
+    slot.table = info.table;
+    slot.req = opt.order.empty() ? LeafReqKind::kUnordered
+                                 : LeafReqKind::kOrdered;
+    slot.column = opt.order.Leading();
+    slot.multiplier = 1.0;
+    slot.unit_cost = opt.cost.total;
+    slot.rows = opt.rows;
+    slot.index_used = opt.index;
+    slot.index_only = opt.index_only;
+    const std::span<const LeafSlot> leaf(&slot, 1);
+    const Admission admission =
+        Admit(cell, opt.cost, opt.order,
+              export_mode ? MergedLeafCostSum(leaf, {}) : 0,
+              export_mode ? requirement_sets_.Singleton(slot) : 0);
+    if (!admission.keep) continue;
     auto p = std::make_shared<Path>();
     p->kind = opt.index == kInvalidIndexId ? PathKind::kSeqScan
                                            : PathKind::kIndexScan;
@@ -130,37 +263,31 @@ JoinPlanner::Cell JoinPlanner::MakeBaseCell(int pos) {
     p->index = opt.index;
     p->index_only = opt.index_only;
     p->sel_index = opt.sel_index;
-    LeafSlot slot;
-    slot.table_pos = pos;
-    slot.table = info.table;
-    slot.req = opt.order.empty() ? LeafReqKind::kUnordered
-                                 : LeafReqKind::kOrdered;
-    slot.column = opt.order.Leading();
-    slot.multiplier = 1.0;
-    slot.unit_cost = opt.cost.total;
-    slot.rows = opt.rows;
-    slot.index_used = opt.index;
-    slot.index_only = opt.index_only;
     p->leaves = {slot};
-    Add(&cell, std::move(p));
+    Insert(&cell, admission, std::move(p));
   }
   FinalizeCell(&cell);
   return cell;
 }
 
-PathPtr JoinPlanner::EnsureSorted(const PathPtr& path, ColumnRef col) {
-  if (path->order.Satisfies(OrderSpec::Single(col))) return path;
+Cost JoinPlanner::SortedCost(const Path& path, ColumnRef col) const {
+  if (LeadsWith(path.order, col)) return path.cost;
+  const Cost sc = ctx_->model.Sort(path.rows, path.width);
+  return {path.cost.total + sc.startup, path.cost.total + sc.total};
+}
+
+PathPtr JoinPlanner::EnsureSorted(const PathPtr& path, ColumnRef col) const {
+  if (LeadsWith(path->order, col)) return path;
   auto sort = std::make_shared<Path>();
   sort->kind = PathKind::kSort;
   sort->rels = path->rels;
   sort->rows = path->rows;
   sort->width = path->width;
-  const Cost sc = ctx_->model.Sort(path->rows, path->width);
-  sort->cost.startup = path->cost.total + sc.startup;
-  sort->cost.total = path->cost.total + sc.total;
+  sort->cost = SortedCost(*path, col);
   sort->order = OrderSpec::Single(col);
   sort->outer = path;
   sort->leaves = path->leaves;
+  sort->requirement_set = path->requirement_set;
   return sort;
 }
 
@@ -176,26 +303,55 @@ void JoinPlanner::MakeJoins(Cell* cell, RelSet s, const Cell& outer_cell,
   const double rows_out = cell->rows;
   const CostModel& model = ctx_->model;
   const PlannerKnobs& knobs = ctx_->knobs;
+  const bool export_mode = knobs.hooks.export_all_plans;
+  const OrderSpec unordered = OrderSpec::None();
+
+  // Builds a kept join alternative; everything it copies was priced
+  // first.
+  const auto make_join = [&](PathKind kind, const Cost& cost,
+                             const OrderSpec& order, PathPtr outer,
+                             PathPtr inner, const JoinPredicate& pred,
+                             std::vector<LeafSlot> leaves) {
+    auto p = std::make_shared<Path>();
+    p->kind = kind;
+    p->rels = s;
+    p->rows = rows_out;
+    p->width = cell->width;
+    p->cost = cost;
+    p->order = order;
+    p->outer = std::move(outer);
+    p->inner = std::move(inner);
+    p->join_preds.push_back(pred);
+    p->leaves = std::move(leaves);
+    return p;
+  };
 
   for (const PathPtr& pa : outer_cell.paths) {
     for (const PathPtr& pb : inner_cell.paths) {
+      // Hash, merge and materialized nested-loop joins all keep both
+      // children's leaves, so they share the leaf cost and requirements.
+      const double both_leaf_cost =
+          export_mode ? MergedLeafCostSum(pa->leaves, pb->leaves) : 0;
+      const uint32_t both_reqs =
+          export_mode ? requirement_sets_.Union(pa->requirement_set,
+                                                pb->requirement_set)
+                      : 0;
+
       // ---- Hash join ----
       if (knobs.enable_hashjoin) {
-        auto hj = std::make_shared<Path>();
-        hj->kind = PathKind::kHashJoin;
-        hj->rels = s;
-        hj->rows = rows_out;
-        hj->width = cell->width;
         const Cost jc = model.HashJoin(pa->rows, pb->rows, pb->width,
                                        pa->width, rows_out);
-        hj->cost.startup = pb->cost.total + jc.startup;
-        hj->cost.total = pa->cost.total + pb->cost.total + jc.total;
-        hj->order = OrderSpec::None();
-        hj->outer = pa;
-        hj->inner = pb;
-        hj->join_preds.push_back(connecting[0]->pred);
-        hj->leaves = MergeLeaves(pa->leaves, pb->leaves);
-        Add(cell, std::move(hj));
+        Cost cost;
+        cost.startup = pb->cost.total + jc.startup;
+        cost.total = pa->cost.total + pb->cost.total + jc.total;
+        const Admission admission =
+            Admit(*cell, cost, unordered, both_leaf_cost, both_reqs);
+        if (admission.keep) {
+          Insert(cell, admission,
+                 make_join(PathKind::kHashJoin, cost, unordered, pa, pb,
+                           connecting[0]->pred,
+                           MergeLeaves(pa->leaves, pb->leaves)));
+        }
       }
 
       // ---- Merge join (one per connecting predicate) ----
@@ -207,22 +363,27 @@ void JoinPlanner::MakeJoins(Cell* cell, RelSet s, const Cell& outer_cell,
           const ColumnRef inner_col = a.Contains(jp->left_pos)
                                           ? jp->pred.right
                                           : jp->pred.left;
-          PathPtr so = EnsureSorted(pa, outer_col);
-          PathPtr si = EnsureSorted(pb, inner_col);
-          auto mj = std::make_shared<Path>();
-          mj->kind = PathKind::kMergeJoin;
-          mj->rels = s;
-          mj->rows = rows_out;
-          mj->width = cell->width;
-          const Cost jc = model.MergeJoin(so->rows, si->rows, rows_out);
-          mj->cost.startup = so->cost.startup + si->cost.startup + jc.startup;
-          mj->cost.total = so->cost.total + si->cost.total + jc.total;
-          mj->order = so->order;  // merge preserves the outer order
-          mj->outer = so;
-          mj->inner = si;
-          mj->join_preds.push_back(jp->pred);
-          mj->leaves = MergeLeaves(so->leaves, si->leaves);
-          Add(cell, std::move(mj));
+          const Cost so = SortedCost(*pa, outer_col);
+          const Cost si = SortedCost(*pb, inner_col);
+          const Cost jc = model.MergeJoin(pa->rows, pb->rows, rows_out);
+          Cost cost;
+          cost.startup = so.startup + si.startup + jc.startup;
+          cost.total = so.total + si.total + jc.total;
+          // Merge preserves the (possibly Sort-delivered) outer order.
+          const OrderSpec* order = &pa->order;
+          if (!LeadsWith(pa->order, outer_col)) {
+            sort_order_.columns.assign(1, outer_col);
+            order = &sort_order_;
+          }
+          const Admission admission =
+              Admit(*cell, cost, *order, both_leaf_cost, both_reqs);
+          if (admission.keep) {
+            Insert(cell, admission,
+                   make_join(PathKind::kMergeJoin, cost, *order,
+                             EnsureSorted(pa, outer_col),
+                             EnsureSorted(pb, inner_col), jp->pred,
+                             MergeLeaves(pa->leaves, pb->leaves)));
+          }
         }
       }
 
@@ -241,6 +402,31 @@ void JoinPlanner::MakeJoins(Cell* cell, RelSet s, const Cell& outer_cell,
                                                       : jp->pred.right;
           for (const ProbeOption& probe : inner_info.probes) {
             if (!(probe.column == inner_col)) continue;
+            LeafSlot slot;
+            slot.table_pos = inner_pos;
+            slot.table = inner_info.table;
+            slot.req = LeafReqKind::kProbe;
+            slot.column = probe.column;
+            slot.multiplier = pa->rows;
+            slot.unit_cost = probe.cost_per_probe.total;
+            slot.rows = probe.rows_per_probe;
+            slot.index_used = probe.index;
+            slot.index_only = probe.index_only;
+            const std::span<const LeafSlot> probe_leaf(&slot, 1);
+            Cost cost;
+            cost.startup = pa->cost.startup;
+            cost.total = pa->cost.total +
+                         pa->rows * probe.cost_per_probe.total +
+                         model.OutputCost(rows_out);
+            // NLJ preserves the outer order.
+            const Admission admission = Admit(
+                *cell, cost, pa->order,
+                export_mode ? MergedLeafCostSum(pa->leaves, probe_leaf) : 0,
+                export_mode
+                    ? requirement_sets_.Union(pa->requirement_set,
+                                              requirement_sets_.Singleton(slot))
+                    : 0);
+            if (!admission.keep) continue;
             auto ip = std::make_shared<Path>();
             ip->kind = PathKind::kIndexProbe;
             ip->rels = b;
@@ -252,32 +438,10 @@ void JoinPlanner::MakeJoins(Cell* cell, RelSet s, const Cell& outer_cell,
             ip->index = probe.index;
             ip->index_only = probe.index_only;
             ip->probe_column = probe.column;
-
-            auto nl = std::make_shared<Path>();
-            nl->kind = PathKind::kNestLoop;
-            nl->rels = s;
-            nl->rows = rows_out;
-            nl->width = cell->width;
-            nl->cost.startup = pa->cost.startup;
-            nl->cost.total = pa->cost.total +
-                             pa->rows * probe.cost_per_probe.total +
-                             model.OutputCost(rows_out);
-            nl->order = pa->order;  // NLJ preserves the outer order
-            nl->outer = pa;
-            nl->inner = ip;
-            nl->join_preds.push_back(jp->pred);
-            LeafSlot slot;
-            slot.table_pos = inner_pos;
-            slot.table = inner_info.table;
-            slot.req = LeafReqKind::kProbe;
-            slot.column = probe.column;
-            slot.multiplier = pa->rows;
-            slot.unit_cost = probe.cost_per_probe.total;
-            slot.rows = probe.rows_per_probe;
-            slot.index_used = probe.index;
-            slot.index_only = probe.index_only;
-            nl->leaves = MergeLeaves(pa->leaves, {slot});
-            Add(cell, std::move(nl));
+            Insert(cell, admission,
+                   make_join(PathKind::kNestLoop, cost, pa->order, pa,
+                             std::move(ip), jp->pred,
+                             MergeLeaves(pa->leaves, probe_leaf)));
           }
         }
       }
@@ -288,23 +452,21 @@ void JoinPlanner::MakeJoins(Cell* cell, RelSet s, const Cell& outer_cell,
         const Cost mat = model.Material(pb->rows, pb->width);
         const double rescan_cost =
             model.RescanMaterialCost(pb->rows, pb->width);
-        auto nl = std::make_shared<Path>();
-        nl->kind = PathKind::kNestLoop;
-        nl->rels = s;
-        nl->rows = rows_out;
-        nl->width = cell->width;
-        nl->cost.startup = pa->cost.startup;
-        nl->cost.total =
+        Cost cost;
+        cost.startup = pa->cost.startup;
+        cost.total =
             pa->cost.total + pb->cost.total + mat.total +
             rescans * rescan_cost +
             pa->rows * pb->rows * model.params().cpu_operator_cost +
             model.OutputCost(rows_out);
-        nl->order = pa->order;
-        nl->outer = pa;
-        nl->inner = pb;
-        nl->join_preds.push_back(connecting[0]->pred);
-        nl->leaves = MergeLeaves(pa->leaves, pb->leaves);
-        Add(cell, std::move(nl));
+        const Admission admission =
+            Admit(*cell, cost, pa->order, both_leaf_cost, both_reqs);
+        if (admission.keep) {
+          Insert(cell, admission,
+                 make_join(PathKind::kNestLoop, cost, pa->order, pa, pb,
+                           connecting[0]->pred,
+                           MergeLeaves(pa->leaves, pb->leaves)));
+        }
       }
     }
   }
@@ -312,6 +474,11 @@ void JoinPlanner::MakeJoins(Cell* cell, RelSet s, const Cell& outer_cell,
 
 StatusOr<std::vector<PathPtr>> JoinPlanner::Run() {
   const int n = ctx_->NumRels();
+  if (n > kMaxJoinRels) {
+    return Status::InvalidArgument("too many tables to join (max " +
+                                   std::to_string(kMaxJoinRels) + ")");
+  }
+  cells_.assign(size_t{1} << n, Cell{});
   for (int pos = 0; pos < n; ++pos) {
     cells_[RelSet::Single(pos).bits()] = MakeBaseCell(pos);
   }
@@ -321,7 +488,7 @@ StatusOr<std::vector<PathPtr>> JoinPlanner::Run() {
   for (uint64_t mask = 1; mask <= full; ++mask) {
     if (std::popcount(mask) < 2) continue;
     const RelSet s(mask);
-    Cell cell;
+    Cell& cell = cells_[mask];
     cell.rows = ctx_->RowsOfSet(s);
     cell.width = ctx_->WidthOfSet(s);
     // Enumerate partitions; fixing the lowest bit in `a` halves the
@@ -332,25 +499,19 @@ StatusOr<std::vector<PathPtr>> JoinPlanner::Run() {
       if ((sub & lowest) == 0) continue;
       const uint64_t other = mask ^ sub;
       if (other == 0) continue;
-      auto it_a = cells_.find(sub);
-      auto it_b = cells_.find(other);
-      if (it_a == cells_.end() || it_b == cells_.end()) continue;
-      MakeJoins(&cell, s, it_a->second, RelSet(sub), it_b->second,
-                RelSet(other));
-      MakeJoins(&cell, s, it_b->second, RelSet(other), it_a->second,
-                RelSet(sub));
+      const Cell& cell_a = cells_[sub];
+      const Cell& cell_b = cells_[other];
+      if (cell_a.paths.empty() || cell_b.paths.empty()) continue;
+      MakeJoins(&cell, s, cell_a, RelSet(sub), cell_b, RelSet(other));
+      MakeJoins(&cell, s, cell_b, RelSet(other), cell_a, RelSet(sub));
     }
-    if (!cell.paths.empty()) {
-      FinalizeCell(&cell);
-      cells_[mask] = std::move(cell);
-    }
+    if (!cell.paths.empty()) FinalizeCell(&cell);
   }
-  auto it = cells_.find(full);
-  if (it == cells_.end() || it->second.paths.empty()) {
+  if (cells_[full].paths.empty()) {
     return Status::InvalidArgument(
         "query's join graph is disconnected (cross products unsupported)");
   }
-  return it->second.paths;
+  return cells_[full].paths;
 }
 
 }  // namespace pinum

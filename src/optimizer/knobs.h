@@ -8,11 +8,11 @@
 namespace pinum {
 
 /// The optimizer hooks PINUM adds (the dotted/dashed arrows of Figure 3).
+/// Section V-C's access-cost export is not a hook here: it is its own
+/// entry point, Optimizer::CollectAccessPaths, which stops after the
+/// Access Path Collector and so skips the plan search whose result the
+/// access-cost call would discard.
 struct PlannerHooks {
-  /// Section V-C: the access-path collector keeps *every* index access
-  /// path instead of the cheapest per interesting order, and exports the
-  /// per-index access costs with the answer.
-  bool keep_all_access_paths = false;
   /// Section V-D: the join planner retains one optimal plan per useful
   /// interesting-order combination (dominance-pruned) and the grouping
   /// planner exports all of them instead of only the winner.

@@ -30,14 +30,24 @@ void TruncateToUsefulOrders(PlannerContext* ctx) {
   }
 }
 
+/// BuildPlannerContext plus the collector's order filtering: everything
+/// the planners start from.
+StatusOr<PlannerContext> CollectorContext(const Query& query,
+                                          const Catalog& catalog,
+                                          const StatsCatalog& stats,
+                                          const PlannerKnobs& knobs) {
+  PINUM_ASSIGN_OR_RETURN(PlannerContext ctx,
+                         BuildPlannerContext(query, catalog, stats, knobs));
+  TruncateToUsefulOrders(&ctx);
+  return ctx;
+}
+
 }  // namespace
 
 StatusOr<OptimizeResult> Optimizer::Optimize(const Query& query,
                                              const PlannerKnobs& knobs) const {
-  PINUM_ASSIGN_OR_RETURN(
-      PlannerContext ctx,
-      BuildPlannerContext(query, *catalog_, *stats_, knobs));
-  TruncateToUsefulOrders(&ctx);
+  PINUM_ASSIGN_OR_RETURN(PlannerContext ctx,
+                         CollectorContext(query, *catalog_, *stats_, knobs));
 
   JoinPlanner joiner(&ctx);
   PINUM_ASSIGN_OR_RETURN(std::vector<PathPtr> tops, joiner.Run());
@@ -55,10 +65,14 @@ StatusOr<OptimizeResult> Optimizer::Optimize(const Query& query,
   } else {
     result.exported = {result.best};
   }
-  if (knobs.hooks.keep_all_access_paths) {
-    result.access_info = std::move(ctx.rels);
-  }
   return result;
+}
+
+StatusOr<std::vector<TableAccessInfo>> Optimizer::CollectAccessPaths(
+    const Query& query, const PlannerKnobs& knobs) const {
+  PINUM_ASSIGN_OR_RETURN(PlannerContext ctx,
+                         CollectorContext(query, *catalog_, *stats_, knobs));
+  return std::move(ctx.rels);
 }
 
 }  // namespace pinum

@@ -23,10 +23,6 @@ struct OptimizeResult {
   /// interesting-order combination (Section V-D). Contains only `best`
   /// otherwise.
   std::vector<PathPtr> exported;
-  /// With hooks.keep_all_access_paths: the per-table access-cost catalog
-  /// (every index access path, not just the cheapest per order;
-  /// Section V-C). Empty otherwise.
-  std::vector<TableAccessInfo> access_info;
   /// Planning-effort proxy: number of paths offered to add_path.
   int64_t paths_considered = 0;
 };
@@ -40,6 +36,17 @@ class Optimizer {
   /// Optimizes `query` under `knobs`.
   StatusOr<OptimizeResult> Optimize(const Query& query,
                                     const PlannerKnobs& knobs) const;
+
+  /// Runs only the Access Path Collector (Figure 3's access-cost export,
+  /// Section V-C): one TableAccessInfo per query table position, holding
+  /// every visible index's scan and probe options — not just the
+  /// cheapest per order — with delivered orders truncated to the query's
+  /// interesting orders exactly as Optimize sees them. No join or
+  /// grouping planning runs, so no plan is built. Both cache builders
+  /// take their access costs from here; each use counts as one
+  /// optimizer call.
+  StatusOr<std::vector<TableAccessInfo>> CollectAccessPaths(
+      const Query& query, const PlannerKnobs& knobs) const;
 
  private:
   const Catalog* catalog_;

@@ -74,35 +74,46 @@ std::string Path::Explain(const Catalog& catalog, int indent) const {
 }
 
 std::string Path::Signature(const Catalog& catalog) const {
-  std::ostringstream out;
-  out << PathKindName(kind);
+  std::string out = PathKindName(kind);
   switch (kind) {
     case PathKind::kSeqScan:
     case PathKind::kIndexScan:
     case PathKind::kIndexProbe: {
       const TableDef* t = catalog.FindTable(table);
-      out << "(" << (t != nullptr ? t->name : "?");
-      if (!order.empty()) out << " ord:" << ColumnName(catalog, order.Leading());
-      if (index_only) out << " io";
-      out << ")";
+      out += '(';
+      out += t != nullptr ? t->name : "?";
+      if (!order.empty()) {
+        out += " ord:";
+        out += ColumnName(catalog, order.Leading());
+      }
+      if (index_only) out += " io";
+      out += ')';
       break;
     }
     case PathKind::kMergeJoin:
     case PathKind::kHashJoin:
     case PathKind::kNestLoop:
-      out << "(" << outer->Signature(catalog) << ","
-          << inner->Signature(catalog) << ")";
+      out += '(';
+      out += outer->Signature(catalog);
+      out += ',';
+      out += inner->Signature(catalog);
+      out += ')';
       break;
     case PathKind::kSort:
-      out << "[" << ColumnName(catalog, order.Leading()) << "]("
-          << outer->Signature(catalog) << ")";
+      out += '[';
+      out += ColumnName(catalog, order.Leading());
+      out += "](";
+      out += outer->Signature(catalog);
+      out += ')';
       break;
     case PathKind::kHashAgg:
     case PathKind::kGroupAgg:
-      out << "(" << outer->Signature(catalog) << ")";
+      out += '(';
+      out += outer->Signature(catalog);
+      out += ')';
       break;
   }
-  return out.str();
+  return out;
 }
 
 std::string Path::RequirementOrderKey() const {

@@ -94,6 +94,10 @@ struct Path {
   /// by the join planner for the Section V-D dominance comparisons.
   double internal_cost = 0;
 
+  /// Export-mode join planner scratch: interned id of the leaf
+  /// requirements, equal for paths whose requirements are equal.
+  uint32_t requirement_set = 0;
+
   /// Total access cost charged to leaves; internal cost is
   /// cost.total - LeafCostSum().
   double LeafCostSum() const {

@@ -11,11 +11,9 @@
 
 namespace pinum {
 
-namespace {
-
-/// Builds the all-interesting-orders IOC: every table's slot filled is
-/// not expressible as a single Ioc (one order per table), so instead we
-/// synthesize one covering index per (table, interesting order) pair.
+// The all-interesting-orders IOC (every table's slot filled) is not
+// expressible as a single Ioc (one order per table), so instead one
+// covering index is synthesized per (table, interesting order) pair.
 StatusOr<Catalog> CatalogCoveringAllOrders(const Catalog& base,
                                            const Query& query,
                                            const StatsCatalog& stats) {
@@ -46,8 +44,6 @@ StatusOr<Catalog> CatalogCoveringAllOrders(const Catalog& base,
   return CatalogWithIndexes(base, covering, nullptr);
 }
 
-}  // namespace
-
 StatusOr<InumCache> BuildInumCachePinum(const Query& query,
                                         const Catalog& base_catalog,
                                         const CandidateSet& candidates,
@@ -68,7 +64,6 @@ StatusOr<InumCache> BuildInumCachePinum(const Query& query,
     PlannerKnobs knobs = options.base_knobs;
     knobs.enable_nestloop = false;
     knobs.hooks.export_all_plans = true;
-    knobs.hooks.keep_all_access_paths = false;
     // Fault injection mirrors the classic builder: every optimizer
     // invocation is one hit, so the k-th call of a reseal can be failed
     // or stalled regardless of which builder mode is active.
@@ -97,7 +92,6 @@ StatusOr<InumCache> BuildInumCachePinum(const Query& query,
       PlannerKnobs knobs = options.base_knobs;
       knobs.enable_nestloop = true;
       knobs.hooks.export_all_plans = options.nlj_export_all;
-      knobs.hooks.keep_all_access_paths = false;
       PINUM_RETURN_IF_ERROR(FailPoint::Check("inum.plan_optimizer_call"));
       PINUM_ASSIGN_OR_RETURN(OptimizeResult result,
                              opt.Optimize(query, knobs));
@@ -140,9 +134,10 @@ StatusOr<InumCache> BuildInumCachePinum(const Query& query,
   }
   local.plan_cache_ms = plan_timer.ElapsedMillis();
 
-  // ---- Access costs: ONE call with every candidate visible and the
-  // keep_all_access_paths hook (Section V-C) — or ZERO calls when every
-  // table footprint was already priced by another workload query. ----
+  // ---- Access costs: ONE call with every candidate visible that stops
+  // at the Access Path Collector (Section V-C) — or ZERO calls when
+  // every table footprint was already priced by another workload
+  // query. ----
   Stopwatch access_timer;
   {
     SharedAccessCostStore* store = options.shared_access;
@@ -160,13 +155,10 @@ StatusOr<InumCache> BuildInumCachePinum(const Query& query,
       ++local.access_calls_saved;
     } else {
       Optimizer opt(&candidates.universe, &stats);
-      PlannerKnobs knobs = options.base_knobs;
-      knobs.hooks.keep_all_access_paths = true;
-      knobs.hooks.export_all_plans = false;
       PINUM_RETURN_IF_ERROR(FailPoint::Check("inum.access_optimizer_call"));
-      PINUM_ASSIGN_OR_RETURN(OptimizeResult result,
-                             opt.Optimize(query, knobs));
-      for (const auto& info : result.access_info) {
+      PINUM_ASSIGN_OR_RETURN(std::vector<TableAccessInfo> access,
+                             opt.CollectAccessPaths(query, options.base_knobs));
+      for (const auto& info : access) {
         cache.mutable_access()->Absorb(info);
         if (store != nullptr) {
           store->StoreTable(TableContextSignature(query, info.table), info);

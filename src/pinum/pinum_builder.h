@@ -61,14 +61,22 @@ struct PinumBuildStats {
   int64_t plans_exported = 0;
 };
 
+/// The catalog PINUM's export call plans against: `base` plus one
+/// single-column what-if index per (table, interesting order) of `query`
+/// that no index of `base` already leads with, so every interesting
+/// order is deliverable in one call.
+StatusOr<Catalog> CatalogCoveringAllOrders(const Catalog& base,
+                                           const Query& query,
+                                           const StatsCatalog& stats);
+
 /// Fills an InumCache for `query` via the PINUM hooks:
 ///  1. one call with nested loops removed, every interesting order
 ///     covered by what-if indexes, and the export_all_plans hook — the
 ///     join planner retains one optimal plan per useful IOC (dominance
 ///     pruned) and all of them are harvested;
-///  2. one call with the keep_all_access_paths hook and all candidate
-///     indexes visible — the access-path collector reports every index's
-///     access costs at once;
+///  2. one Optimizer::CollectAccessPaths call with all candidate indexes
+///     visible — the access-path collector reports every index's access
+///     costs at once, and no plan search runs;
 ///  3. up to two NLJ-enabled calls at the extreme access costs (all
 ///     candidates visible / none visible).
 StatusOr<InumCache> BuildInumCachePinum(const Query& query,

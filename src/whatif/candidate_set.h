@@ -19,11 +19,13 @@ struct CandidateSet {
   Catalog universe;
   std::vector<IndexId> candidate_ids;
 
-  /// Catalog containing only the base objects plus the subset `config`.
+  /// Catalog containing only the base objects plus the subset `config`
+  /// (what-if evaluation of one index configuration), with every index
+  /// under its universe id.
   Catalog Subset(const std::vector<IndexId>& config) const {
     std::vector<IndexId> keep = base_index_ids;
     keep.insert(keep.end(), config.begin(), config.end());
-    return CatalogWithOnlyIndexes(universe, keep);
+    return universe.WithOnlyIndexes(keep);
   }
 
   /// Index ids that existed in the base catalog (real indexes).

@@ -41,18 +41,4 @@ StatusOr<Catalog> CatalogWithIndexes(const Catalog& base,
   return out;
 }
 
-Catalog CatalogWithOnlyIndexes(const Catalog& base,
-                               const std::vector<IndexId>& keep) {
-  Catalog out = base;
-  std::vector<IndexId> to_drop;
-  for (const auto& [id, def] : out.indexes()) {
-    (void)def;
-    if (std::find(keep.begin(), keep.end(), id) == keep.end()) {
-      to_drop.push_back(id);
-    }
-  }
-  for (IndexId id : to_drop) (void)out.DropIndex(id);
-  return out;
-}
-
 }  // namespace pinum

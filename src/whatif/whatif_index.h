@@ -33,11 +33,6 @@ StatusOr<Catalog> CatalogWithIndexes(const Catalog& base,
                                      const std::vector<IndexDef>& hypo,
                                      std::vector<IndexId>* assigned_ids);
 
-/// Returns a copy of `base` keeping only the indexes in `keep` (plus all
-/// tables/foreign keys). Used to evaluate index configurations.
-Catalog CatalogWithOnlyIndexes(const Catalog& base,
-                               const std::vector<IndexId>& keep);
-
 }  // namespace pinum
 
 #endif  // PINUM_WHATIF_WHATIF_INDEX_H_

@@ -107,6 +107,48 @@ TEST(CatalogTest, IndexesOnTableFiltersByTable) {
   }
   EXPECT_EQ(cat.IndexesOnTable(*t1).size(), 2u);
   EXPECT_EQ(cat.IndexesOnTable(*t2).size(), 1u);
+  // Drops leave the per-table list in id order.
+  ASSERT_TRUE(cat.DropIndex(cat.FindIndexByName("i0")->id).ok());
+  const auto on_t1 = cat.IndexesOnTable(*t1);
+  ASSERT_EQ(on_t1.size(), 1u);
+  EXPECT_EQ(on_t1[0]->name, "i1");
+}
+
+TEST(CatalogTest, WithOnlyIndexesKeepsIdsAndDropsTheRest) {
+  Catalog cat;
+  auto t1 = cat.AddTable(SimpleTable("t1"));
+  auto t2 = cat.AddTable(SimpleTable("t2"));
+  ASSERT_TRUE(cat.AddForeignKey({*t1, 1, *t2, 0}).ok());
+  std::vector<IndexId> ids;
+  for (int i = 0; i < 4; ++i) {
+    IndexDef idx;
+    idx.name = "i" + std::to_string(i);
+    idx.table = i % 2 == 0 ? *t1 : *t2;
+    idx.key_columns = {i % 3};
+    ids.push_back(*cat.AddIndex(idx));
+  }
+  // Unknown and repeated ids are ignored; the keep order is irrelevant.
+  const Catalog sub = cat.WithOnlyIndexes({ids[3], 999, ids[0], ids[3]});
+  EXPECT_EQ(sub.NumIndexes(), 2u);
+  EXPECT_EQ(sub.tables().size(), 2u);
+  EXPECT_EQ(sub.foreign_keys().size(), 1u);
+  ASSERT_NE(sub.FindIndex(ids[0]), nullptr);
+  EXPECT_EQ(sub.FindIndex(ids[0])->name, "i0");
+  EXPECT_EQ(sub.FindIndexByName("i3")->id, ids[3]);
+  EXPECT_EQ(sub.FindIndex(ids[1]), nullptr);
+  EXPECT_EQ(sub.FindIndexByName("i2"), nullptr);
+  ASSERT_EQ(sub.IndexesOnTable(*t1).size(), 1u);
+  EXPECT_EQ(sub.IndexesOnTable(*t1)[0]->id, ids[0]);
+  ASSERT_EQ(sub.IndexesOnTable(*t2).size(), 1u);
+  EXPECT_EQ(sub.IndexesOnTable(*t2)[0]->id, ids[3]);
+  // A later index gets the id the full catalog would have assigned, as
+  // after dropping the others.
+  Catalog grown = sub;
+  IndexDef more;
+  more.name = "i2";  // free again in the subset
+  more.table = *t1;
+  more.key_columns = {0};
+  EXPECT_EQ(*grown.AddIndex(more), ids.back() + 1);
 }
 
 TEST(CatalogTest, CatalogIsCopyableValueType) {
