@@ -28,10 +28,13 @@
 //   $ ./advisor_tool [budget_mb] [--save FILE | --load FILE |
 //                    --load-mmap FILE] [--reseal K]
 //                    [--search] [--seed N] [--restarts N]
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "advisor/candidate_generator.h"
 #include "advisor/greedy_advisor.h"
@@ -43,6 +46,96 @@
 #include "workload/star_schema.h"
 
 using namespace pinum;
+
+namespace {
+
+/// The restart path behind --load and --load-mmap: restores the snapshot
+/// at `path` (mapped or decoded), checks it holds this workload's
+/// caches, and reseals exactly the stale queries in place. Prints what
+/// it did and returns the serving caches.
+StatusOr<std::vector<SealedCache>> Restore(WorkloadCacheBuilder& builder,
+                                           const std::vector<Query>& queries,
+                                           const std::string& path,
+                                           bool mapped) {
+  Stopwatch restore_timer;
+  std::vector<std::string> names;
+  WorkloadCacheResult restored;
+  if (mapped) {
+    // Zero-copy restart: validate + mmap once, then serve straight from
+    // the mapped arena images. Each cache's arena co-owns the mapping,
+    // so the caches stay valid after every handle here is gone.
+    PINUM_ASSIGN_OR_RETURN(restored, builder.LoadSnapshotMapped(path, &names));
+  } else {
+    PINUM_ASSIGN_OR_RETURN(WorkloadSnapshot snapshot,
+                           builder.LoadSnapshot(path));
+    restored =
+        WorkloadCacheBuilder::ResultFromSnapshot(std::move(snapshot), &names);
+  }
+  const double restore_ms = restore_timer.ElapsedMillis();
+  // The epoch binds catalog/candidates/stats but deliberately not the
+  // query set (any workload over the same universe may snapshot), so
+  // check here that these caches really are this workload's — serving
+  // another query set's caches would be silently wrong suggestions.
+  const bool same_workload =
+      std::equal(names.begin(), names.end(), queries.begin(), queries.end(),
+                 [](const std::string& name, const Query& q) {
+                   return name == q.name;
+                 });
+  if (!same_workload) {
+    return Status::FailedPrecondition(
+        "snapshot " + path + " holds " + std::to_string(names.size()) +
+        " caches for a different query set; this workload has " +
+        std::to_string(queries.size()) + " queries — rebuild with --save");
+  }
+  // Per-query epoch stamps: a snapshot that predates stats drift or
+  // append-only universe growth still restores — repair exactly the
+  // stale queries (mapped ones get fresh heap seals, the rest keep
+  // serving from the snapshot) instead of rebuilding the workload.
+  // (This tool regenerates the same world every run, so the set is
+  // normally empty; it is the production restart path nonetheless.)
+  const std::vector<size_t> stale =
+      builder.StaleQueries(names, restored.stamps, queries);
+  if (!stale.empty()) {
+    std::vector<std::string> stale_names;
+    for (size_t i : stale) stale_names.push_back(queries[i].name);
+    WorkloadCacheStats totals;
+    PINUM_RETURN_IF_ERROR(
+        builder.RebuildQueries(stale_names, queries, &restored, &totals));
+    std::printf("snapshot was stale for %zu of %zu queries; resealed "
+                "them with %lld optimizer calls\n",
+                stale.size(), queries.size(),
+                static_cast<long long>(totals.plan_cache_calls +
+                                       totals.access_cost_calls));
+  }
+  if (!mapped) {
+    std::printf("snapshot restored: %zu sealed caches from %s in %.1f ms "
+                "(%zu stale, %s)\n",
+                restored.sealed.size(), path.c_str(),
+                restore_timer.ElapsedMillis(), stale.size(),
+                stale.empty() ? "0 optimizer calls" : "resealed above");
+    return std::move(restored.sealed);
+  }
+  // The headline number: map-and-validate vs decode-everything on the
+  // same file (both serve bit-identical costs; only the copies differ).
+  Stopwatch decode_timer;
+  const bool decoded = builder.LoadSnapshot(path).ok();
+  const double decode_ms = decode_timer.ElapsedMillis();
+  size_t borrowed_bytes = 0;
+  for (const SealedCache& c : restored.sealed) borrowed_bytes += c.ArenaBytes();
+  std::printf("snapshot mapped: %zu sealed caches (%.2f MB of arenas "
+              "borrowed from the page cache) in %.2f ms; %zu stale "
+              "resealed\n",
+              restored.sealed.size(), borrowed_bytes / 1048576.0,
+              restore_ms, stale.size());
+  if (decoded) {
+    std::printf("decode-load of the same file: %.2f ms -> mmap is "
+                "%.1fx faster to first answer\n",
+                decode_ms, restore_ms > 0 ? decode_ms / restore_ms : 0.0);
+  }
+  return std::move(restored.sealed);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   AdvisorOptions aopts;
@@ -130,125 +223,15 @@ int main(int argc, char** argv) {
   // parallel PINUM build, or a snapshot written by an earlier --save —
   // the restart path, milliseconds instead of optimizer calls.
   std::vector<SealedCache> serving;
-  if (!mmap_path.empty()) {
-    // Zero-copy restart: validate + mmap once, then serve straight from
-    // the mapped arena images. The caches borrow the mapping (each
-    // arena co-owns the file handle), so `serving` stays valid after
-    // the result below goes out of scope.
-    Stopwatch map_timer;
-    std::vector<std::string> names;
-    auto mapped = builder.LoadSnapshotMapped(mmap_path, &names);
-    if (!mapped.ok()) {
-      std::fprintf(stderr, "%s\n", mapped.status().ToString().c_str());
+  if (!load_path.empty() || !mmap_path.empty()) {
+    auto restored = Restore(builder, workload->queries(),
+                            mmap_path.empty() ? load_path : mmap_path,
+                            !mmap_path.empty());
+    if (!restored.ok()) {
+      std::fprintf(stderr, "%s\n", restored.status().ToString().c_str());
       return 1;
     }
-    const double map_ms = map_timer.ElapsedMillis();
-    const std::vector<Query>& queries = workload->queries();
-    bool same_workload = names.size() == queries.size();
-    for (size_t i = 0; same_workload && i < queries.size(); ++i) {
-      same_workload = names[i] == queries[i].name;
-    }
-    if (!same_workload) {
-      std::fprintf(stderr,
-                   "snapshot %s holds %zu caches for a different query set; "
-                   "this workload has %zu queries — rebuild with --save\n",
-                   mmap_path.c_str(), names.size(), queries.size());
-      return 1;
-    }
-    const std::vector<size_t> stale =
-        builder.StaleQueries(names, mapped->stamps, queries);
-    if (!stale.empty()) {
-      // Repair in place: RebuildQueries replaces exactly the stale
-      // queries' borrowed caches with fresh heap seals; the rest keep
-      // serving from the mapping.
-      std::vector<std::string> stale_names;
-      for (size_t i : stale) stale_names.push_back(queries[i].name);
-      Status st = builder.RebuildQueries(stale_names, queries, &*mapped);
-      if (!st.ok()) {
-        std::fprintf(stderr, "%s\n", st.ToString().c_str());
-        return 1;
-      }
-    }
-    // The headline number: map-and-validate vs decode-everything on the
-    // same file (both serve bit-identical costs; only the copies differ).
-    Stopwatch decode_timer;
-    auto decoded = builder.LoadSnapshot(mmap_path);
-    const double decode_ms =
-        decoded.ok() ? decode_timer.ElapsedMillis() : -1.0;
-    size_t borrowed_bytes = 0;
-    for (const SealedCache& c : mapped->sealed) {
-      borrowed_bytes += c.ArenaBytes();
-    }
-    std::printf("snapshot mapped: %zu sealed caches (%.2f MB of arenas "
-                "borrowed from the page cache) in %.2f ms; %zu stale "
-                "resealed\n",
-                mapped->sealed.size(), borrowed_bytes / 1048576.0, map_ms,
-                stale.size());
-    if (decode_ms >= 0) {
-      std::printf("decode-load of the same file: %.2f ms -> mmap is "
-                  "%.1fx faster to first answer\n",
-                  decode_ms, map_ms > 0 ? decode_ms / map_ms : 0.0);
-    }
-    serving = std::move(mapped->sealed);
-  } else if (!load_path.empty()) {
-    Stopwatch load_timer;
-    auto snapshot = builder.LoadSnapshot(load_path);
-    if (!snapshot.ok()) {
-      std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
-      return 1;
-    }
-    // The epoch binds catalog/candidates/stats but deliberately not the
-    // query set (any workload over the same universe may snapshot), so
-    // check here that these caches really are this workload's — serving
-    // another query set's caches would be silently wrong suggestions.
-    const std::vector<Query>& queries = workload->queries();
-    bool same_workload = snapshot->query_names.size() == queries.size();
-    for (size_t i = 0; same_workload && i < queries.size(); ++i) {
-      same_workload = snapshot->query_names[i] == queries[i].name;
-    }
-    if (!same_workload) {
-      std::fprintf(stderr,
-                   "snapshot %s holds %zu caches for a different query set; "
-                   "this workload has %zu queries — rebuild with --save\n",
-                   load_path.c_str(), snapshot->query_names.size(),
-                   queries.size());
-      return 1;
-    }
-    // Per-query epoch stamps: a snapshot that predates stats drift or
-    // append-only universe growth still loads — repair exactly the
-    // stale queries instead of rebuilding the workload. (This tool
-    // regenerates the same world every run, so the set is normally
-    // empty; it is the production restart path nonetheless.)
-    const std::vector<size_t> stale =
-        builder.StaleQueries(*snapshot, queries);
-    if (!stale.empty()) {
-      std::vector<std::string> stale_names;
-      for (size_t i : stale) stale_names.push_back(queries[i].name);
-      WorkloadCacheResult restored;
-      restored.caches.resize(queries.size());
-      restored.per_query.resize(queries.size());
-      restored.stamps = snapshot->query_stamps;
-      restored.sealed = std::move(snapshot->sealed);
-      WorkloadCacheStats totals;
-      Status st = builder.RebuildQueries(stale_names, queries, &restored,
-                                         &totals);
-      if (!st.ok()) {
-        std::fprintf(stderr, "%s\n", st.ToString().c_str());
-        return 1;
-      }
-      std::printf("snapshot was stale for %zu of %zu queries; resealed "
-                  "them with %lld optimizer calls\n",
-                  stale.size(), queries.size(),
-                  static_cast<long long>(totals.plan_cache_calls +
-                                         totals.access_cost_calls));
-      snapshot->sealed = std::move(restored.sealed);
-    }
-    std::printf("snapshot restored: %zu sealed caches from %s in %.1f ms "
-                "(%zu stale, %s)\n",
-                snapshot->sealed.size(), load_path.c_str(),
-                load_timer.ElapsedMillis(), stale.size(),
-                stale.empty() ? "0 optimizer calls" : "resealed above");
-    serving = std::move(snapshot->sealed);
+    serving = std::move(*restored);
   } else {
     // One PINUM cache per query — a handful of optimizer calls each
     // instead of the hundreds-to-thousands classic INUM would need —
@@ -260,9 +243,11 @@ int main(int argc, char** argv) {
     }
     for (size_t i = 0; i < workload->queries().size(); ++i) {
       const QueryBuildStats& qs = built->per_query[i];
+      const SealedCache& sealed = built->sealed[i];
       std::printf("  %s: %zu cached plans (%lld optimizer calls, "
                   "%lld shared)\n",
-                  workload->queries()[i].name.c_str(), qs.plans_cached,
+                  workload->queries()[i].name.c_str(),
+                  sealed.NumPlans() + sealed.NumPlansPruned(),
                   static_cast<long long>(qs.plan_cache_calls +
                                          qs.access_cost_calls),
                   static_cast<long long>(qs.access_calls_saved));

@@ -12,7 +12,7 @@
 //
 // Wired-in failpoint names (the site documents each precisely):
 //   workload.build_query        one per-query cache (re)build
-//                               (WorkloadCacheBuilder::BuildOne)
+//                               (WorkloadCacheBuilder::BuildQueryCache)
 //   inum.plan_optimizer_call    each plan-cache optimizer call
 //   inum.access_optimizer_call  each access-cost optimizer call
 //                               (classic and PINUM builders)
@@ -24,7 +24,7 @@
 //   snapshot.save.fsync         SaveSnapshot: fsync of the tmp file
 //   snapshot.save.rename        SaveSnapshot: the tmp -> path rename
 //   snapshot.load.read          LoadSnapshot/ReadSnapshotEpoch: file read
-//   snapshot.mmap.map           MappedWorkloadSnapshot::Map: the mmap
+//   snapshot.mmap.map           MapSnapshot: the mmap
 //
 // Thread-safety: Check/Arm/Disarm/counters may be called from any
 // thread concurrently (the registry is mutex-protected; the disarmed

@@ -10,9 +10,10 @@
 //    deep-copying eleven vectors, which is what makes publishing a
 //    serving generation (a whole-result copy) cheap;
 //  - a *borrowed* arena: a view straight into an mmap'ed snapshot file
-//    (src/inum/snapshot_mmap.h). The owner handle then pins the mapping,
-//    so a cache outliving the MappedWorkloadSnapshot that produced it is
-//    still backed by live pages.
+//    (MapSnapshot, src/inum/snapshot.h). The owner handle then pins the
+//    mapping, so a cache outliving the snapshot that produced it — and
+//    every result or serving generation it is copied into — is still
+//    backed by live pages.
 //
 // Images are relocatable by construction — internal references are byte
 // offsets from the image start, never pointers — so the bytes a heap

@@ -259,8 +259,8 @@ class SealedCache {
   /// Structural validation of an untrusted image — every check the
   /// serving scans rely on (alignment, bounds, CSR closure, plan
   /// ordering, strict-improvement postings, posting-id consistency).
-  /// Returns kInternal before any view is handed out; shared by the
-  /// snapshot decode path and MappedWorkloadSnapshot::Map.
+  /// Returns kInternal before any view is handed out; shared by both
+  /// snapshot readers (LoadSnapshot and MapSnapshot).
   static Status ValidateImage(const char* data, size_t size);
 
   /// Installs views over `arena` (whose bytes must already be a valid

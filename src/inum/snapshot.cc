@@ -3,9 +3,10 @@
 // bytes written here must bump kSnapshotFormatVersion (snapshot.h) and
 // be recorded in the spec's version history.
 //
-// Byte-level framing, validation, and the cache codec live in
-// inum/snapshot_internal.h, shared with the zero-copy mapped reader
-// (snapshot_mmap.cc) so both load paths enforce identical checks.
+// Byte-level framing, validation, the cache codec and the reader body
+// (ReadSnapshot) live in inum/snapshot_internal.h, shared with the
+// zero-copy mapped reader (snapshot_mmap.cc), so both load paths run
+// identical checks in identical order.
 #include "inum/snapshot.h"
 
 #include <algorithm>
@@ -28,8 +29,6 @@ using snapshot_internal::AnnotateFile;
 using snapshot_internal::ByteReader;
 using snapshot_internal::ByteWriter;
 using snapshot_internal::CacheRecord;
-using snapshot_internal::CheckEpochCompatible;
-using snapshot_internal::Corrupt;
 using snapshot_internal::DecodeEpoch;
 using snapshot_internal::DecodeQueries;
 using snapshot_internal::FnvBytes;
@@ -41,6 +40,7 @@ using snapshot_internal::kSectionCaches;
 using snapshot_internal::kSectionEntryBytes;
 using snapshot_internal::kSectionEpoch;
 using snapshot_internal::kSectionQueries;
+using snapshot_internal::ReadSnapshot;
 using snapshot_internal::SliceCacheRecords;
 using snapshot_internal::SnapshotView;
 using snapshot_internal::ValidateFraming;
@@ -150,13 +150,6 @@ ByteWriter EncodeEpochSection(const SnapshotEpoch& epoch) {
 
 // ---- Whole-file reading -------------------------------------------------
 
-/// An owned, framing-validated snapshot: the file's bytes plus the
-/// section view over them.
-struct SnapshotFile {
-  std::string bytes;
-  SnapshotView view;
-};
-
 Status ReadFileBytes(const std::string& path, std::string* out) {
   {
     Status injected = FailPoint::Check("snapshot.load.read");
@@ -180,19 +173,6 @@ Status ReadFileBytes(const std::string& path, std::string* out) {
   }
   *out = std::move(bytes);
   return Status::OK();
-}
-
-/// Reads the file and validates the file-level framing (magic, byte
-/// order, version, declared length, checksum, section-table bounds).
-/// Failures carry the path: the validators are path-agnostic, this
-/// boundary is where it gets attached.
-StatusOr<SnapshotFile> OpenSnapshot(const std::string& path) {
-  SnapshotFile file;
-  PINUM_RETURN_IF_ERROR(ReadFileBytes(path, &file.bytes));
-  PINUM_RETURN_IF_ERROR(AnnotateFile(
-      ValidateFraming(file.bytes.data(), file.bytes.size(), &file.view),
-      path));
-  return file;
 }
 
 }  // namespace
@@ -564,47 +544,22 @@ Status SaveSnapshot(const std::string& path,
 }
 
 StatusOr<SnapshotEpoch> ReadSnapshotEpoch(const std::string& path) {
-  PINUM_ASSIGN_OR_RETURN(const SnapshotFile file, OpenSnapshot(path));
-  return DecodeEpoch(file.view);
+  std::string bytes;
+  PINUM_RETURN_IF_ERROR(ReadFileBytes(path, &bytes));
+  SnapshotView view;
+  PINUM_RETURN_IF_ERROR(AnnotateFile(
+      ValidateFraming(bytes.data(), bytes.size(), &view), path));
+  return DecodeEpoch(view);
 }
 
 StatusOr<WorkloadSnapshot> LoadSnapshot(const std::string& path,
                                         const SnapshotEpoch& expected) {
-  PINUM_ASSIGN_OR_RETURN(const SnapshotFile file, OpenSnapshot(path));
-  PINUM_ASSIGN_OR_RETURN(const SnapshotEpoch stored, DecodeEpoch(file.view));
-  PINUM_RETURN_IF_ERROR(CheckEpochCompatible(stored, expected));
-
-  WorkloadSnapshot snapshot;
-  snapshot.universe = stored.universe;
-  PINUM_RETURN_IF_ERROR(AnnotateFile(
-      DecodeQueries(file.view, &snapshot.query_names, &snapshot.query_stamps),
-      path));
-
-  std::vector<CacheRecord> records;
-  PINUM_RETURN_IF_ERROR(AnnotateFile(
-      SliceCacheRecords(file.view, snapshot.query_names.size(), &records),
-      path));
-  snapshot.sealed.resize(records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    // Each record decodes from exactly its framed slice: the image's
-    // structural validation (SealedCache::ValidateImage) rejects any
-    // record whose contents disagree with its declared length, which is
-    // also what keeps spliced (patched) records honest. A rejection
-    // names the record and its file offset — the byte range to dump
-    // when a fleet log reports one bad record among thousands.
-    Status st = SnapshotCodec::DecodeOwned(records[i].data, records[i].size,
-                                           &snapshot.sealed[i]);
-    if (!st.ok()) {
-      return AnnotateFile(
-          Status(st.code(),
-                 st.message() + " (cache record " + std::to_string(i) +
-                     " at file offset " +
-                     std::to_string(records[i].data - file.bytes.data()) +
-                     ")"),
-          path);
-    }
-  }
-  return snapshot;
+  std::string bytes;
+  PINUM_RETURN_IF_ERROR(ReadFileBytes(path, &bytes));
+  return ReadSnapshot(bytes.data(), bytes.size(), path, expected,
+                      [](const char* data, size_t size, SealedCache* out) {
+                        return SnapshotCodec::DecodeOwned(data, size, out);
+                      });
 }
 
 }  // namespace pinum

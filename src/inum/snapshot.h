@@ -55,8 +55,8 @@ namespace pinum {
 /// Version history lives in docs/SNAPSHOT_FORMAT.md. v3's caches
 /// section stores each cache as its relocatable arena image (see
 /// inum/arena.h), 8-aligned in the file, which is what makes the
-/// zero-copy mapped reader (inum/snapshot_mmap.h) possible; older
-/// versions are rejected kUnimplemented, not migrated.
+/// zero-copy mapped reader (MapSnapshot) possible; older versions are
+/// rejected kUnimplemented, not migrated.
 inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
 /// Fingerprint of the world a snapshot was sealed under. The base
@@ -133,7 +133,10 @@ uint64_t ComputeTableEpochFingerprint(TableId table, const CandidateSet& set,
 /// `sealed` straight to a WorkloadCostEvaluator), with the query names
 /// and epoch stamps they were sealed under (parallel vectors). A cache
 /// whose stored stamp differs from the live query's stamp is stale —
-/// WorkloadCacheBuilder::StaleQueries computes exactly that set.
+/// WorkloadCacheBuilder::StaleQueries computes exactly that set. Both
+/// readers return this type: LoadSnapshot's caches own heap copies of
+/// their records, MapSnapshot's borrow the file mapping, and each
+/// cache's arena pins the bytes it reads, copies included.
 struct WorkloadSnapshot {
   std::vector<std::string> query_names;
   std::vector<uint64_t> query_stamps;
@@ -184,6 +187,20 @@ Status SaveSnapshot(const std::string& path,
 /// to the caches that were saved.
 StatusOr<WorkloadSnapshot> LoadSnapshot(const std::string& path,
                                         const SnapshotEpoch& expected);
+
+/// The zero-copy reader: mmaps `path` read-only (MAP_PRIVATE) and runs
+/// LoadSnapshot's checks, in the same order and with the same failure
+/// codes, then binds each cache's views straight into the mapping
+/// instead of copying the records. Every image is structurally
+/// validated, and a misaligned one rejected, before any view is handed
+/// out. Restart cost becomes page faults, and processes mapping one file
+/// share one physical copy of the caches. Each returned cache's arena
+/// co-owns the mapping, so the pages stay mapped until the last cache
+/// (or copy) borrowing them is destroyed — past the file's unlink, and
+/// past a concurrent SaveSnapshot, which replaces the file via
+/// rename(2). kUnimplemented where POSIX mmap is unavailable.
+StatusOr<WorkloadSnapshot> MapSnapshot(const std::string& path,
+                                       const SnapshotEpoch& expected);
 
 /// Header-and-epoch-only read: what a snapshot claims to be sealed
 /// under, without decoding the caches. Fails on the same magic / byte

@@ -1,10 +1,9 @@
-// Internals shared by the two snapshot readers: the byte-level decode
-// path (src/inum/snapshot.cc) and the zero-copy mapped path
-// (src/inum/snapshot_mmap.cc). Everything here operates on raw
-// (pointer, size) ranges so the same validation runs whether the bytes
-// came from a file read or an mmap — the hostile-input guarantees in
-// docs/SNAPSHOT_FORMAT.md hold for both. Not part of the public API;
-// include only from inum/snapshot*.cc.
+// Internals shared by the two snapshot readers: LoadSnapshot (file read,
+// src/inum/snapshot.cc) and MapSnapshot (mmap, src/inum/snapshot_mmap.cc).
+// Everything here operates on raw (pointer, size) ranges, and both
+// readers run the one reader body (ReadSnapshot) over them, so the
+// hostile-input guarantees in docs/SNAPSHOT_FORMAT.md hold for both.
+// Not part of the public API; include only from inum/snapshot*.cc.
 #ifndef PINUM_INUM_SNAPSHOT_INTERNAL_H_
 #define PINUM_INUM_SNAPSHOT_INTERNAL_H_
 
@@ -361,9 +360,9 @@ inline std::string HashMismatch(const char* what, uint64_t stored,
   return msg;
 }
 
-/// The compatibility rule both load paths enforce (LoadSnapshot and
-/// MappedWorkloadSnapshot::Map): same base schema, and the stored
-/// candidate vocabulary must be the live one's first N candidates —
+/// The compatibility rule both readers enforce (LoadSnapshot and
+/// MapSnapshot): same base schema, and the stored candidate vocabulary
+/// must be the live one's first N candidates —
 /// equality when nothing grew, a strict prefix when candidates were
 /// appended after the seal (append-only growth keeps every stored id
 /// meaning the same index). Anything else — removed, reordered, or
@@ -510,6 +509,50 @@ inline Status SliceCacheRecords(const SnapshotView& file,
     return Corrupt("trailing bytes in caches section");
   }
   return Status::OK();
+}
+
+/// The one reader body behind LoadSnapshot and MapSnapshot, over the
+/// file's bytes wherever they live: framing, epoch compatibility, the
+/// query section and record slicing, then `bind(data, size, &cache)`
+/// per record — the reader's own one line (DecodeOwned's copy or View's
+/// borrow). Each record binds exactly its framed slice: the image's
+/// structural validation (SealedCache::ValidateImage) rejects any record
+/// whose contents disagree with its declared length, which is also what
+/// keeps spliced (patched) records honest. A rejection names the record
+/// and its file offset — the byte range to dump when a fleet log reports
+/// one bad record among thousands.
+template <typename Bind>
+StatusOr<WorkloadSnapshot> ReadSnapshot(const char* data, size_t size,
+                                        const std::string& path,
+                                        const SnapshotEpoch& expected,
+                                        const Bind& bind) {
+  SnapshotView view;
+  PINUM_RETURN_IF_ERROR(
+      AnnotateFile(ValidateFraming(data, size, &view), path));
+  PINUM_ASSIGN_OR_RETURN(const SnapshotEpoch stored, DecodeEpoch(view));
+  PINUM_RETURN_IF_ERROR(CheckEpochCompatible(stored, expected));
+
+  WorkloadSnapshot snapshot;
+  snapshot.universe = stored.universe;
+  PINUM_RETURN_IF_ERROR(AnnotateFile(
+      DecodeQueries(view, &snapshot.query_names, &snapshot.query_stamps),
+      path));
+  std::vector<CacheRecord> records;
+  PINUM_RETURN_IF_ERROR(AnnotateFile(
+      SliceCacheRecords(view, snapshot.query_names.size(), &records), path));
+  snapshot.sealed.resize(records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    const Status st =
+        bind(records[i].data, records[i].size, &snapshot.sealed[i]);
+    if (!st.ok()) {
+      return AnnotateFile(
+          Status(st.code(), st.message() + " (cache record " +
+                                std::to_string(i) + " at file offset " +
+                                std::to_string(records[i].data - data) + ")"),
+          path);
+    }
+  }
+  return snapshot;
 }
 
 }  // namespace snapshot_internal

@@ -1,8 +1,12 @@
-#include "inum/snapshot_mmap.h"
-
+// MapSnapshot (inum/snapshot.h): the zero-copy snapshot reader. Its
+// byte source is a read-only file mapping and its bind is
+// SnapshotCodec::View; everything between, checks and failure codes
+// included, is the reader body it shares with LoadSnapshot
+// (snapshot_internal::ReadSnapshot).
 #include <utility>
 
 #include "common/failpoint.h"
+#include "inum/snapshot.h"
 #include "inum/snapshot_internal.h"
 
 #if !defined(_WIN32)
@@ -15,19 +19,12 @@
 namespace pinum {
 
 using snapshot_internal::AnnotateFile;
-using snapshot_internal::CacheRecord;
-using snapshot_internal::CheckEpochCompatible;
-using snapshot_internal::DecodeEpoch;
-using snapshot_internal::DecodeQueries;
-using snapshot_internal::kHeaderBytes;
-using snapshot_internal::SliceCacheRecords;
-using snapshot_internal::SnapshotView;
-using snapshot_internal::ValidateFraming;
+using snapshot_internal::ReadSnapshot;
 
 #if defined(_WIN32)
 
-StatusOr<MappedWorkloadSnapshot> MappedWorkloadSnapshot::Map(
-    const std::string& path, const SnapshotEpoch& expected) {
+StatusOr<WorkloadSnapshot> MapSnapshot(const std::string& path,
+                                       const SnapshotEpoch& expected) {
   (void)path;
   (void)expected;
   return Status::Unimplemented(
@@ -95,52 +92,17 @@ class MappedFile {
 
 }  // namespace
 
-StatusOr<MappedWorkloadSnapshot> MappedWorkloadSnapshot::Map(
-    const std::string& path, const SnapshotEpoch& expected) {
+StatusOr<WorkloadSnapshot> MapSnapshot(const std::string& path,
+                                       const SnapshotEpoch& expected) {
   PINUM_ASSIGN_OR_RETURN(std::shared_ptr<const MappedFile> file,
                          MappedFile::Open(path));
-
-  // One full pass over the bytes (the checksum), then O(sections +
-  // queries) framing — identical checks, in identical order, to the
-  // decode path's OpenSnapshot.
-  SnapshotView view;
-  PINUM_RETURN_IF_ERROR(
-      AnnotateFile(ValidateFraming(file->data(), file->size(), &view), path));
-  PINUM_ASSIGN_OR_RETURN(const SnapshotEpoch stored, DecodeEpoch(view));
-  PINUM_RETURN_IF_ERROR(CheckEpochCompatible(stored, expected));
-
-  MappedWorkloadSnapshot snapshot;
-  snapshot.universe = stored.universe;
-  PINUM_RETURN_IF_ERROR(AnnotateFile(
-      DecodeQueries(view, &snapshot.query_names, &snapshot.query_stamps),
-      path));
-
-  std::vector<CacheRecord> records;
-  PINUM_RETURN_IF_ERROR(AnnotateFile(
-      SliceCacheRecords(view, snapshot.query_names.size(), &records), path));
-
-  // Bind each cache's views straight into the mapping. Validation runs
-  // per image *before* the views are installed; any rejected image
-  // aborts the whole map with no cache handed out. Each cache's arena
-  // co-owns the MappedFile, so caches stay valid after this snapshot
-  // struct (and its `mapping` handle) are gone.
-  snapshot.sealed.resize(records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    Status st = SnapshotCodec::View(records[i].data, records[i].size, file,
-                                    &snapshot.sealed[i]);
-    if (!st.ok()) {
-      return AnnotateFile(
-          Status(st.code(), st.message() + " (cache record " +
-                                std::to_string(i) + " at file offset " +
-                                std::to_string(records[i].data -
-                                               file->data()) +
-                                ")"),
-          path);
-    }
-  }
-  snapshot.mapped_bytes = file->size();
-  snapshot.mapping = std::move(file);
-  return snapshot;
+  // Each cache's arena co-owns the MappedFile, so the caches stay valid
+  // after this function's handle is gone.
+  return ReadSnapshot(file->data(), file->size(), path, expected,
+                      [&file](const char* data, size_t size,
+                              SealedCache* out) {
+                        return SnapshotCodec::View(data, size, file, out);
+                      });
 }
 
 #endif  // !defined(_WIN32)

@@ -198,12 +198,12 @@ struct ServingStats {
 /// engine.
 ///
 /// `initial` may equally be LoadSnapshotMapped's result — the restart
-/// path that starts answering traffic before any build runs. The
-/// mapped result's `mapping` handle travels into generation 1 (and its
-/// caches' arenas co-own it), so the snapshot pages stay valid for as
-/// long as any pinned generation or in-flight answer needs them; later
-/// reseals copy the handle forward until every borrowed cache has been
-/// rebuilt heap-side (see docs/SERVING.md).
+/// path that starts answering traffic before any build runs. Each
+/// mapped cache's arena co-owns the snapshot mapping, so the pages stay
+/// valid for as long as any pinned generation or in-flight answer holds
+/// a cache reading them; reseals carry the unrebuilt caches (and so the
+/// mapping) forward until every borrowed cache has been rebuilt
+/// heap-side (see docs/SERVING.md).
 class ServingEngine {
  public:
   ServingEngine(WorkloadCacheBuilder* builder,

@@ -35,8 +35,8 @@ struct ServingGeneration {
   /// immutable — every SealedCache, stamp, and accounting row is
   /// frozen at publication. When the result came from
   /// LoadSnapshotMapped, its caches' arenas borrow the snapshot file
-  /// mapping; result.mapping (plus each cache's own arena handle) pins
-  /// the pages for exactly this generation's lifetime.
+  /// mapping, and each cache's arena pins those pages for as long as
+  /// this generation (or any later one still holding that cache) lives.
   WorkloadCacheResult result;
 
   /// The serve-time caches, parallel to the engine's query vector.

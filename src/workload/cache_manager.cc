@@ -5,7 +5,6 @@
 
 #include "common/failpoint.h"
 #include "common/stopwatch.h"
-#include "inum/snapshot_mmap.h"
 
 namespace pinum {
 
@@ -19,55 +18,93 @@ WorkloadCacheBuilder::WorkloadCacheBuilder(const Catalog* base_catalog,
       options_(std::move(options)),
       pool_(options_.num_threads) {}
 
-Status WorkloadCacheBuilder::BuildOne(const Query& query,
-                                      SharedAccessCostStore* store,
-                                      InumCache* cache,
-                                      QueryBuildStats* query_stats) const {
+StatusOr<InumCache> WorkloadCacheBuilder::BuildQueryCache(
+    const Query& query, QueryBuildStats* query_stats) {
   // One hit per per-query (re)build — the unit a reseal retries. Fired
-  // from whichever pool thread claims the query; callers annotate the
-  // returned Status with the query name.
+  // from whichever pool thread claims the query; BuildAndSeal annotates
+  // the returned Status with the query name.
   PINUM_RETURN_IF_ERROR(FailPoint::Check("workload.build_query"));
+  SharedAccessCostStore* store =
+      options_.share_access_costs ? &store_ : nullptr;
+  auto report = [query_stats](const auto& stats) {
+    if (query_stats != nullptr) {
+      *query_stats = {stats.plan_cache_calls, stats.access_cost_calls,
+                      stats.access_calls_saved};
+    }
+  };
   if (options_.mode == CacheBuildMode::kPinum) {
     PinumBuildOptions opts = options_.pinum;
     opts.shared_access = store;
     PinumBuildStats stats;
-    PINUM_ASSIGN_OR_RETURN(*cache,
-                           BuildInumCachePinum(query, *base_catalog_,
-                                               *candidates_, *stats_, opts,
-                                               &stats));
-    *query_stats = {stats.plan_cache_calls, stats.access_cost_calls,
-                    stats.access_calls_saved, stats.plans_cached};
-  } else {
-    InumBuildOptions opts = options_.inum;
-    opts.shared_access = store;
-    InumBuildStats stats;
-    PINUM_ASSIGN_OR_RETURN(*cache,
-                           BuildInumCacheClassic(query, *base_catalog_,
-                                                 *candidates_, *stats_, opts,
-                                                 &stats));
-    *query_stats = {stats.plan_cache_calls, stats.access_cost_calls,
-                    stats.access_calls_saved, stats.plans_cached};
+    StatusOr<InumCache> cache = BuildInumCachePinum(
+        query, *base_catalog_, *candidates_, *stats_, opts, &stats);
+    report(stats);
+    return cache;
+  }
+  InumBuildOptions opts = options_.inum;
+  opts.shared_access = store;
+  InumBuildStats stats;
+  StatusOr<InumCache> cache = BuildInumCacheClassic(
+      query, *base_catalog_, *candidates_, *stats_, opts, &stats);
+  report(stats);
+  return cache;
+}
+
+Status WorkloadCacheBuilder::BuildAndSeal(const std::vector<Query>& queries,
+                                          const std::vector<size_t>& targets,
+                                          std::vector<SealedCache>* sealed,
+                                          std::vector<QueryBuildStats>* stats,
+                                          double* seal_ms) {
+  const size_t k = targets.size();
+  sealed->resize(k);
+  stats->resize(k);
+  std::vector<Status> statuses(k);
+  std::vector<double> seal_times(k, 0);
+  // Seal against the *current* universe: ids appended since an earlier
+  // build become priceable in every cache sealed here.
+  const IndexId num_index_ids = candidates_->NumIndexIds();
+  pool_.ParallelFor(static_cast<int64_t>(k), [&](int64_t j) {
+    const size_t at = static_cast<size_t>(j);
+    const Query& q = queries[targets[at]];
+    StatusOr<InumCache> cache = BuildQueryCache(q, &(*stats)[at]);
+    if (!cache.ok()) {
+      // Failed builds keep the query's name so batch errors stay
+      // attributable (replicated workloads have many similar queries).
+      statuses[at] = Status(cache.status().code(),
+                            q.name + ": " + cache.status().message());
+      return;
+    }
+    // Sealed inside the build task: dominated-plan pruning plus flat
+    // access-cost vectors over the universe's stable ids. The build-time
+    // cache dies with the task.
+    Stopwatch seal_timer;
+    (*sealed)[at] = SealedCache::Seal(*cache, num_index_ids);
+    seal_times[at] = seal_timer.ElapsedMillis();
+  });
+  *seal_ms = 0;
+  for (const double ms : seal_times) *seal_ms += ms;
+  for (const Status& st : statuses) {
+    if (!st.ok()) return st;
   }
   return Status::OK();
 }
 
-void WorkloadCacheBuilder::RecomputeTotals(WorkloadCacheResult* result) {
-  const double wall_ms = result->totals.wall_ms;
-  const double seal_ms = result->totals.seal_ms;
-  result->totals = {};
-  result->totals.wall_ms = wall_ms;
-  result->totals.seal_ms = seal_ms;
-  for (const QueryBuildStats& qs : result->per_query) {
-    result->totals.plan_cache_calls += qs.plan_cache_calls;
-    result->totals.access_cost_calls += qs.access_cost_calls;
-    result->totals.access_calls_saved += qs.access_calls_saved;
-    result->totals.plans_cached += qs.plans_cached;
+WorkloadCacheStats WorkloadCacheBuilder::SumCounts(
+    const std::vector<QueryBuildStats>& stats,
+    const std::vector<SealedCache>& sealed) {
+  WorkloadCacheStats totals;
+  for (const QueryBuildStats& qs : stats) {
+    totals.plan_cache_calls += qs.plan_cache_calls;
+    totals.access_cost_calls += qs.access_cost_calls;
+    totals.access_calls_saved += qs.access_calls_saved;
   }
-  for (const SealedCache& sealed : result->sealed) {
-    result->totals.plans_pruned += sealed.NumPlansPruned();
-    result->totals.terms += sealed.NumTerms();
-    result->totals.postings += sealed.NumPostings();
+  for (const SealedCache& cache : sealed) {
+    totals.plans_cached += cache.NumPlans() + cache.NumPlansPruned();
+    totals.plans_pruned += cache.NumPlansPruned();
+    totals.terms += cache.NumTerms();
+    totals.postings += cache.NumPostings();
   }
+  return totals;
 }
 
 std::vector<TableId> WorkloadCacheBuilder::RefreshTableFingerprints(
@@ -94,9 +131,6 @@ StatusOr<WorkloadCacheResult> WorkloadCacheBuilder::BuildAll(
     const std::vector<Query>& queries) {
   const size_t n = queries.size();
   WorkloadCacheResult result;
-  result.caches.resize(n);
-  result.per_query.resize(n);
-  std::vector<Status> statuses(n);
 
   // Record (or refresh) the per-table epoch fingerprints this build runs
   // under, invalidating any store entries a drift since the previous
@@ -114,55 +148,30 @@ StatusOr<WorkloadCacheResult> WorkloadCacheBuilder::BuildAll(
     result.stamps.push_back(QueryStamp(q, &fp_cache));
   }
 
-  SharedAccessCostStore* store =
-      options_.share_access_costs ? &store_ : nullptr;
-
+  std::vector<size_t> all(n);
+  for (size_t i = 0; i < n; ++i) all[i] = i;
   Stopwatch wall;
-  pool_.ParallelFor(static_cast<int64_t>(n), [&](int64_t i) {
-    const Query& q = queries[static_cast<size_t>(i)];
-    // Failed builds keep the query's name so batch errors stay
-    // attributable (replicated workloads have many similar queries).
-    const Status st = BuildOne(q, store, &result.caches[static_cast<size_t>(i)],
-                               &result.per_query[static_cast<size_t>(i)]);
-    if (!st.ok()) {
-      statuses[static_cast<size_t>(i)] =
-          Status(st.code(), q.name + ": " + st.message());
-    }
-  });
-
-  for (const Status& st : statuses) {
-    if (!st.ok()) return st;
-  }
-
-  // One-time seal for serving: dominated-plan pruning + flat access-cost
-  // vectors over the candidate universe's stable ids. Per-query seals are
-  // independent, so they ride the same pool.
-  Stopwatch seal_timer;
-  const IndexId num_index_ids = candidates_->NumIndexIds();
-  result.sealed.resize(n);
-  pool_.ParallelFor(static_cast<int64_t>(n), [&](int64_t i) {
-    result.sealed[static_cast<size_t>(i)] = SealedCache::Seal(
-        result.caches[static_cast<size_t>(i)], num_index_ids);
-  });
-  result.totals.seal_ms = seal_timer.ElapsedMillis();
+  double seal_ms = 0;
+  PINUM_RETURN_IF_ERROR(
+      BuildAndSeal(queries, all, &result.sealed, &result.per_query, &seal_ms));
+  result.totals = SumCounts(result.per_query, result.sealed);
   result.totals.wall_ms = wall.ElapsedMillis();
-  RecomputeTotals(&result);
+  result.totals.seal_ms = seal_ms;
   return result;
 }
 
 Status WorkloadCacheBuilder::RebuildQueries(
     const std::vector<std::string>& names, const std::vector<Query>& queries,
     WorkloadCacheResult* result, WorkloadCacheStats* rebuild_totals) {
-  if (result->caches.size() != queries.size() ||
-      result->sealed.size() != queries.size() ||
+  if (result->sealed.size() != queries.size() ||
       result->per_query.size() != queries.size() ||
       result->stamps.size() != queries.size()) {
     return Status::InvalidArgument(
         "reseal: result is not parallel to queries (" +
         std::to_string(result->sealed.size()) + " caches, " +
         std::to_string(queries.size()) + " queries) — pass BuildAll's"
-        " inputs and output unchanged (restored snapshots: copy"
-        " query_stamps into result.stamps)");
+        " inputs and output unchanged (restored snapshots:"
+        " ResultFromSnapshot)");
   }
   // Resolve names to positions (first match; workload names are unique).
   std::vector<size_t> targets;
@@ -188,48 +197,28 @@ Status WorkloadCacheBuilder::RebuildQueries(
   // a stale query re-pays its own optimizer calls, not its neighbours').
   store_.InvalidateTables(RefreshTableFingerprints(queries));
 
-  SharedAccessCostStore* store =
-      options_.share_access_costs ? &store_ : nullptr;
-  const size_t k = targets.size();
-  std::vector<Status> statuses(k);
-  std::vector<QueryBuildStats> fresh_stats(k);
-  // Built into scratch and installed only after every status is OK, so
-  // an error leaves `result` exactly as it was — never half-updated.
-  std::vector<InumCache> fresh_caches(k);
-
-  Stopwatch wall;
-  pool_.ParallelFor(static_cast<int64_t>(k), [&](int64_t j) {
-    const Query& q = queries[targets[static_cast<size_t>(j)]];
-    const Status st = BuildOne(q, store, &fresh_caches[static_cast<size_t>(j)],
-                               &fresh_stats[static_cast<size_t>(j)]);
-    if (!st.ok()) {
-      statuses[static_cast<size_t>(j)] =
-          Status(st.code(), q.name + ": " + st.message());
-    }
-  });
-  for (const Status& st : statuses) {
-    if (!st.ok()) return st;
-  }
-
-  // Reseal the rebuilt queries against the *current* universe: ids
-  // appended since the original build become priceable here, while
+  // Built into scratch and installed only after every query succeeded,
+  // so an error leaves `result` exactly as it was — never half-updated.
+  // Rebuilt queries reseal against the *current* universe, while
   // untouched queries keep their narrower sealed form — which prices
   // the new ids at base cost, bit-identical to what a cold rebuild
   // computes for a query the new candidates cannot serve.
-  Stopwatch seal_timer;
-  const IndexId num_index_ids = candidates_->NumIndexIds();
-  std::vector<SealedCache> fresh_sealed(k);
-  pool_.ParallelFor(static_cast<int64_t>(k), [&](int64_t j) {
-    fresh_sealed[static_cast<size_t>(j)] = SealedCache::Seal(
-        fresh_caches[static_cast<size_t>(j)], num_index_ids);
-  });
-  const double seal_ms = seal_timer.ElapsedMillis();
+  std::vector<SealedCache> fresh_sealed;
+  std::vector<QueryBuildStats> fresh_stats;
+  Stopwatch wall;
+  double seal_ms = 0;
+  PINUM_RETURN_IF_ERROR(
+      BuildAndSeal(queries, targets, &fresh_sealed, &fresh_stats, &seal_ms));
   const double wall_ms = wall.ElapsedMillis();
+  if (rebuild_totals != nullptr) {
+    *rebuild_totals = SumCounts(fresh_stats, fresh_sealed);
+    rebuild_totals->wall_ms = wall_ms;
+    rebuild_totals->seal_ms = seal_ms;
+  }
 
   std::map<TableId, uint64_t> fp_cache;
-  for (size_t j = 0; j < k; ++j) {
+  for (size_t j = 0; j < targets.size(); ++j) {
     const size_t i = targets[j];
-    result->caches[i] = std::move(fresh_caches[j]);
     result->sealed[i] = std::move(fresh_sealed[j]);
     result->per_query[i] = fresh_stats[j];
     // Re-stamp against the drifted world these rebuilds consumed;
@@ -237,27 +226,9 @@ Status WorkloadCacheBuilder::RebuildQueries(
     // under.
     result->stamps[i] = QueryStamp(queries[i], &fp_cache);
   }
+  result->totals = SumCounts(result->per_query, result->sealed);
   result->totals.wall_ms = wall_ms;
   result->totals.seal_ms = seal_ms;
-  RecomputeTotals(result);
-
-  if (rebuild_totals != nullptr) {
-    *rebuild_totals = {};
-    for (size_t j = 0; j < k; ++j) {
-      rebuild_totals->plan_cache_calls += fresh_stats[j].plan_cache_calls;
-      rebuild_totals->access_cost_calls += fresh_stats[j].access_cost_calls;
-      rebuild_totals->access_calls_saved += fresh_stats[j].access_calls_saved;
-      rebuild_totals->plans_cached += fresh_stats[j].plans_cached;
-    }
-    for (size_t j = 0; j < k; ++j) {
-      const SealedCache& sealed = result->sealed[targets[j]];
-      rebuild_totals->plans_pruned += sealed.NumPlansPruned();
-      rebuild_totals->terms += sealed.NumTerms();
-      rebuild_totals->postings += sealed.NumPostings();
-    }
-    rebuild_totals->wall_ms = wall_ms;
-    rebuild_totals->seal_ms = seal_ms;
-  }
   return Status::OK();
 }
 
@@ -267,7 +238,8 @@ StatusOr<WorkloadCacheResult> WorkloadCacheBuilder::RebuildQueriesInto(
   // The copy is the whole point: `base` may be a published serving
   // generation with concurrent readers, so nothing below may write
   // through it. RebuildQueries only ever mutates the result it is
-  // handed, which is this copy.
+  // handed, which is this copy — and copying shares every cache's
+  // arena, so it costs refcount bumps, not cache bytes.
   WorkloadCacheResult next = base;
   PINUM_RETURN_IF_ERROR(
       RebuildQueries(names, queries, &next, rebuild_totals));
@@ -354,22 +326,22 @@ StatusOr<WorkloadSnapshot> WorkloadCacheBuilder::LoadSnapshot(
 StatusOr<WorkloadCacheResult> WorkloadCacheBuilder::LoadSnapshotMapped(
     const std::string& path, std::vector<std::string>* query_names) const {
   PINUM_ASSIGN_OR_RETURN(
-      MappedWorkloadSnapshot mapped,
-      MappedWorkloadSnapshot::Map(path, ComputeSnapshotEpoch(*candidates_)));
+      WorkloadSnapshot mapped,
+      MapSnapshot(path, ComputeSnapshotEpoch(*candidates_)));
+  return ResultFromSnapshot(std::move(mapped), query_names);
+}
 
+WorkloadCacheResult WorkloadCacheBuilder::ResultFromSnapshot(
+    WorkloadSnapshot snapshot, std::vector<std::string>* query_names) {
   WorkloadCacheResult result;
-  const size_t n = mapped.sealed.size();
-  // Keep the result parallel (the RebuildQueries precondition): a
-  // mapped restart has no build-time caches or per-query accounting, so
-  // those slots hold empty placeholders — a reseal replaces exactly the
-  // slots it rebuilds, and inspection reads zeros instead of garbage.
-  result.caches.resize(n);
-  result.per_query.resize(n);
-  result.sealed = std::move(mapped.sealed);
-  result.stamps = std::move(mapped.query_stamps);
-  result.mapping = std::move(mapped.mapping);
-  RecomputeTotals(&result);
-  if (query_names != nullptr) *query_names = std::move(mapped.query_names);
+  // Parallel to the caches (the RebuildQueries precondition): a restart
+  // spent no optimizer calls on any query; a reseal replaces exactly
+  // the rows it rebuilds.
+  result.per_query.resize(snapshot.sealed.size());
+  result.sealed = std::move(snapshot.sealed);
+  result.stamps = std::move(snapshot.query_stamps);
+  result.totals = SumCounts(result.per_query, result.sealed);
+  if (query_names != nullptr) *query_names = std::move(snapshot.query_names);
   return result;
 }
 

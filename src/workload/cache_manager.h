@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,13 +48,13 @@ struct WorkloadCacheOptions {
   InumBuildOptions inum;
 };
 
-/// Per-query build accounting (mode-independent subset of
-/// InumBuildStats/PinumBuildStats).
+/// Per-query optimizer-call accounting (mode-independent subset of
+/// InumBuildStats/PinumBuildStats). Plan counts live on the sealed
+/// cache itself (NumPlans + NumPlansPruned).
 struct QueryBuildStats {
   int64_t plan_cache_calls = 0;
   int64_t access_cost_calls = 0;
   int64_t access_calls_saved = 0;
-  size_t plans_cached = 0;
 };
 
 /// Whole-workload accounting.
@@ -67,6 +66,8 @@ struct WorkloadCacheStats {
   /// split between calls and saved calls is scheduling-dependent; the
   /// cache contents never are.
   int64_t access_calls_saved = 0;
+  /// Plans the builds harvested, summed from the sealed caches
+  /// (NumPlans + NumPlansPruned), so restored results report it too.
   size_t plans_cached = 0;
   /// Plans the seal step discarded as dominated (can never win under any
   /// configuration); plans served = plans_cached - plans_pruned.
@@ -80,16 +81,20 @@ struct WorkloadCacheStats {
   /// sparsity the advisor's CostWithExtra sweep exploits.
   size_t postings = 0;
   double wall_ms = 0;
-  /// Wall time of the one-time seal pass (included in wall_ms).
+  /// Per-query seal times, summed. Each query is sealed inside its own
+  /// pooled build task, so with several threads the sum can exceed
+  /// wall_ms.
   double seal_ms = 0;
 };
 
-/// The built caches, parallel to the input query vector. `caches` is the
-/// mutable build-time form (kept for inspection and incremental reuse);
-/// `sealed` is the serving form every what-if consumer should price
-/// against — sealed[i] answers bit-identically to caches[i].
+/// The built caches in their serving form, parallel to the input query
+/// vector: sealed[i] answers every cost question for queries[i]. The
+/// build-time InumCache each was sealed from does not outlive its build
+/// task (BuildQueryCache rebuilds one on request). Copying a result
+/// shares every cache's arena, so a copy costs refcount bumps, not cache
+/// bytes, and a cache whose arena borrows a snapshot file mapping
+/// (LoadSnapshotMapped) keeps those pages mapped through every copy.
 struct WorkloadCacheResult {
-  std::vector<InumCache> caches;
   std::vector<SealedCache> sealed;
   std::vector<QueryBuildStats> per_query;
   /// Per-query epoch stamps captured when each cache was (re)built —
@@ -100,13 +105,6 @@ struct WorkloadCacheResult {
   /// instead of masking it.
   std::vector<uint64_t> stamps;
   WorkloadCacheStats totals;
-  /// Set only by LoadSnapshotMapped: the snapshot file mapping the
-  /// sealed caches' arenas borrow. Each SealedCache also co-owns the
-  /// mapping through its arena, so even a result sliced apart keeps the
-  /// pages alive; this handle makes the borrow visible and keeps whole-
-  /// result copies (serving generations) trivially correct. Null for
-  /// built or decode-loaded results.
-  std::shared_ptr<const void> mapping;
 };
 
 /// Builds per-query plan caches for an entire workload. One instance is
@@ -120,12 +118,24 @@ class WorkloadCacheBuilder {
                        WorkloadCacheOptions options = WorkloadCacheOptions{});
 
   /// Builds every query's cache (concurrently when num_threads != 1) and
-  /// seals each once for serving. result.caches[i] and result.sealed[i]
-  /// correspond to queries[i]; the first per-query build error aborts the
-  /// batch. Also records the per-table epoch fingerprints the build ran
-  /// under, which a later RebuildQueries diffs to invalidate exactly the
-  /// drifted tables' shared access-cost entries.
+  /// seals it for serving inside the same pool task. result.sealed[i]
+  /// corresponds to queries[i]; the first per-query build error aborts
+  /// the batch. Also records the per-table epoch fingerprints the build
+  /// ran under, which a later RebuildQueries diffs to invalidate exactly
+  /// the drifted tables' shared access-cost entries.
   StatusOr<WorkloadCacheResult> BuildAll(const std::vector<Query>& queries);
+
+  /// The build-time form of one query's cache, on request: the per-query
+  /// body BuildAll and RebuildQueries run before sealing (same mode,
+  /// planner knobs and shared access-cost store), for callers that need
+  /// the harvested plans themselves: the golden corpus's per-plan lines,
+  /// including plans the seal prunes, and test oracles. It reads the
+  /// shared store as the last BuildAll/RebuildQueries left it, so call
+  /// it under the world that build consumed. Fires the
+  /// workload.build_query failpoint; `query_stats`, when given, receives
+  /// the optimizer-call accounting.
+  StatusOr<InumCache> BuildQueryCache(const Query& query,
+                                      QueryBuildStats* query_stats = nullptr);
 
   /// Incremental reseal: re-runs the optimizer and reseals *only* the
   /// named queries — the ones a drift staled (stats re-ANALYZEd,
@@ -147,9 +157,9 @@ class WorkloadCacheBuilder {
   ///    bit-identical to a cold BuildAll under the drifted world (the
   ///    differential suite in tests/incremental_reseal_test.cc pins
   ///    this across evaluator and advisor paths);
-  ///  - result->totals is recomputed from the updated per-query rows
-  ///    (wall_ms/seal_ms become this rebuild's times); the rebuild's
-  ///    own accounting lands in `rebuild_totals` when given.
+  ///  - result->totals is recomputed from the updated per-query rows and
+  ///    sealed caches (wall_ms/seal_ms become this rebuild's times); the
+  ///    rebuild's own accounting lands in `rebuild_totals` when given.
   Status RebuildQueries(const std::vector<std::string>& names,
                         const std::vector<Query>& queries,
                         WorkloadCacheResult* result,
@@ -184,15 +194,16 @@ class WorkloadCacheBuilder {
   /// Indices into `queries` whose snapshot entry is stale: the name at
   /// that position is missing or different, or the stored stamp differs
   /// from the live QueryStamp. Pass the result's names straight to
-  /// RebuildQueries after restoring `snapshot.sealed` into a
-  /// WorkloadCacheResult; an empty return means the snapshot serves the
+  /// RebuildQueries after turning the snapshot into a result
+  /// (ResultFromSnapshot); an empty return means the snapshot serves the
   /// whole workload as-is.
   std::vector<size_t> StaleQueries(const WorkloadSnapshot& snapshot,
                                    const std::vector<Query>& queries) const;
 
-  /// The same staleness diff over bare parallel vectors — what a
-  /// mapped-snapshot restart has in hand (LoadSnapshotMapped returns
-  /// the names separately and the stamps inside the result).
+  /// The same staleness diff over bare parallel vectors: what a
+  /// restored result has in hand (ResultFromSnapshot and
+  /// LoadSnapshotMapped return the names separately and the stamps
+  /// inside the result).
   std::vector<size_t> StaleQueries(const std::vector<std::string>& names,
                                    const std::vector<uint64_t>& stamps,
                                    const std::vector<Query>& queries) const;
@@ -228,38 +239,49 @@ class WorkloadCacheBuilder {
   /// query_names match it, as advisor_tool --load does.
   StatusOr<WorkloadSnapshot> LoadSnapshot(const std::string& path) const;
 
-  /// The zero-copy restart path: mmaps the snapshot read-only
-  /// (MappedWorkloadSnapshot::Map) and returns a serving-ready
-  /// WorkloadCacheResult whose sealed caches' arenas point straight
-  /// into the mapping — no per-element decode, no heap copy of cache
-  /// bytes. Same compatibility rule and failure taxonomy as
-  /// LoadSnapshot; cost answers are bit-identical to the decode path's.
-  /// The result's `mapping` handle (and every cache's arena) pins the
-  /// mapped pages, so the result — and serving generations copied from
-  /// it — outlive the file's directory entry (saves replace via
-  /// rename). The result is RebuildQueries-ready: `caches` holds empty
-  /// build-time forms (a mapped restart has no build-time state;
-  /// resealed queries get fresh ones), `stamps` are the stored stamps.
-  /// `query_names`, when given, receives the stored names — diff with
-  /// StaleQueries(names, result.stamps, queries) to find what to
-  /// reseal, and verify they match the workload being served.
+  /// The zero-copy restart path: MapSnapshot, then ResultFromSnapshot.
+  /// The sealed caches' arenas point straight into a read-only mapping
+  /// of the file: no per-element decode, no heap copy of cache bytes.
+  /// Same compatibility rule and failure taxonomy as LoadSnapshot; cost
+  /// answers are bit-identical to the decode path's. Every cache's
+  /// arena pins the mapped pages, so the result, and serving
+  /// generations copied from it, outlive the file's directory entry
+  /// (saves replace via rename).
   StatusOr<WorkloadCacheResult> LoadSnapshotMapped(
       const std::string& path,
       std::vector<std::string>* query_names = nullptr) const;
+
+  /// A restored snapshot (either reader) as a RebuildQueries-ready
+  /// result: the stored sealed caches and stamps, zero optimizer calls
+  /// per query, and totals summed from the caches, which equal the
+  /// saving build's plan, pruning, term and posting counts.
+  /// `query_names`, when given, receives the stored names: diff them
+  /// with StaleQueries(names, result.stamps, queries) to find what to
+  /// reseal, and check they match the workload being served.
+  static WorkloadCacheResult ResultFromSnapshot(
+      WorkloadSnapshot snapshot,
+      std::vector<std::string>* query_names = nullptr);
 
   /// The builder's pool — reusable for batched configuration pricing.
   ThreadPool* pool() { return &pool_; }
   const SharedAccessCostStore& store() const { return store_; }
 
  private:
-  /// Builds one query's cache + accounting with the active mode; the
-  /// shared per-query body of BuildAll and RebuildQueries.
-  Status BuildOne(const Query& query, SharedAccessCostStore* store,
-                  InumCache* cache, QueryBuildStats* query_stats) const;
+  /// Builds and seals queries[targets[j]] into (*sealed)[j] and
+  /// (*stats)[j], one pool task per query: the shared body of BuildAll
+  /// and RebuildQueries. Returns the first failure (annotated with the
+  /// query name) once every task has finished; `seal_ms` receives the
+  /// summed per-query seal time.
+  Status BuildAndSeal(const std::vector<Query>& queries,
+                      const std::vector<size_t>& targets,
+                      std::vector<SealedCache>* sealed,
+                      std::vector<QueryBuildStats>* stats, double* seal_ms);
 
-  /// Re-derives totals from per_query + sealed sums (wall/seal times are
-  /// left to the caller).
-  static void RecomputeTotals(WorkloadCacheResult* result);
+  /// Optimizer calls summed from `stats` plus plan, pruning, term and
+  /// posting counts summed from `sealed`; wall/seal times are left zero
+  /// for the caller.
+  static WorkloadCacheStats SumCounts(const std::vector<QueryBuildStats>& stats,
+                                      const std::vector<SealedCache>& sealed);
 
   /// Diffs the live per-table epoch fingerprints against the ones the
   /// last build recorded, invalidates drifted tables' store entries, and

@@ -107,7 +107,10 @@ StatusOr<std::string> BuildCorpusText(const CorpusSpec& spec,
 
   for (size_t i = 0; i < inst->queries.size(); ++i) {
     const std::string q = "query[" + inst->queries[i].name + "]";
-    const InumCache& cache = result.caches[i];
+    // The per-plan lines need the harvested plans, including the ones
+    // the seal prunes: rebuild this query's build-time form for them.
+    PINUM_ASSIGN_OR_RETURN(const InumCache cache,
+                           builder.BuildQueryCache(inst->queries[i]));
     const SealedCache& sealed = result.sealed[i];
     out << q << ".plans = " << cache.NumPlans() << "\n";
     out << q << ".plans_pruned = " << sealed.NumPlansPruned() << "\n";

@@ -33,7 +33,6 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "inum/snapshot.h"
-#include "inum/snapshot_mmap.h"
 #include "serving/serving_engine.h"
 #include "test_util.h"
 #include "whatif/candidate_set.h"
@@ -404,8 +403,7 @@ TEST_F(FaultInjectionTest, LoadAndMapFaultsReportThePath) {
     FailPoint::Config fault;
     fault.status = Status::Internal("mmap refused");
     ScopedFailPoint scoped("snapshot.mmap.map", fault);
-    auto mapped =
-        MappedWorkloadSnapshot::Map(path, ComputeSnapshotEpoch(set_));
+    auto mapped = MapSnapshot(path, ComputeSnapshotEpoch(set_));
     ASSERT_FALSE(mapped.ok());
     if (mapped.status().code() != StatusCode::kUnimplemented) {
       EXPECT_EQ(mapped.status().code(), StatusCode::kInternal);

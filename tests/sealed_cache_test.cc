@@ -25,16 +25,18 @@ namespace {
 /// Sealed-vs-build bit identity for one built workload: every sealed
 /// cache must price every configuration — empty, atomic, random
 /// subsets, duplicate ids, out-of-universe ids, the invalid sentinel —
-/// bitwise equal to the InumCache it was sealed from. Free function so
-/// both the shared-star suite and the family-parameterized suite drive
-/// it; callers SCOPED_TRACE their (family, seed).
+/// bitwise equal to the InumCache it was sealed from (`caches`, the
+/// BuildQueryCache oracle). Free function so both the shared-star suite
+/// and the family-parameterized suite drive it; callers SCOPED_TRACE
+/// their (family, seed).
 void ExpectSealedBitIdentical(const FamilyFixture& fix,
+                              const std::vector<InumCache>& caches,
                               const WorkloadCacheResult& built,
                               uint64_t seed) {
   const std::vector<Query>& queries = fix.queries();
   Rng rng(seed);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    const InumCache& cache = built.caches[qi];
+    const InumCache& cache = caches[qi];
     const SealedCache& sealed = built.sealed[qi];
     // Empty configuration.
     EXPECT_EQ(sealed.Cost({}), cache.Cost({})) << "query " << qi;
@@ -126,6 +128,9 @@ class SealedCacheTest : public ::testing::Test {
     std::unique_ptr<StarFixture> star;
     WorkloadCacheResult pinum;
     WorkloadCacheResult classic;
+    /// The build-time oracles (BuildQueryCache) for the two results.
+    std::vector<InumCache> pinum_caches;
+    std::vector<InumCache> classic_caches;
 
     const std::vector<Query>& queries() const { return star->queries(); }
     const CandidateSet& set() const { return star->set; }
@@ -135,24 +140,23 @@ class SealedCacheTest : public ::testing::Test {
   static void SetUpTestSuite() {
     auto star = MakeStarFixture();
     ASSERT_NE(star, nullptr);
-    fix_ = new Fixture{std::move(star), {}, {}};
-
-    WorkloadCacheOptions popts;
-    auto pinum = WorkloadCacheBuilder(&fix_->star->catalog(),
-                                      &fix_->star->set,
-                                      &fix_->star->stats(), popts)
-                     .BuildAll(fix_->star->queries());
-    ASSERT_TRUE(pinum.ok()) << pinum.status().ToString();
-    fix_->pinum = std::move(*pinum);
+    fix_ = new Fixture{std::move(star), {}, {}, {}, {}};
 
     WorkloadCacheOptions copts;
     copts.mode = CacheBuildMode::kClassic;
-    auto classic = WorkloadCacheBuilder(&fix_->star->catalog(),
-                                        &fix_->star->set,
-                                        &fix_->star->stats(), copts)
-                       .BuildAll(fix_->star->queries());
-    ASSERT_TRUE(classic.ok()) << classic.status().ToString();
-    fix_->classic = std::move(*classic);
+    Build({}, &fix_->pinum, &fix_->pinum_caches);
+    Build(copts, &fix_->classic, &fix_->classic_caches);
+  }
+  /// BuildAll with `opts` into `result`, plus the BuildQueryCache
+  /// oracle from the same builder into `caches`.
+  static void Build(WorkloadCacheOptions opts, WorkloadCacheResult* result,
+                    std::vector<InumCache>* caches) {
+    WorkloadCacheBuilder builder(&fix_->star->catalog(), &fix_->star->set,
+                                 &fix_->star->stats(), opts);
+    auto built = builder.BuildAll(fix_->star->queries());
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    *result = std::move(*built);
+    *caches = BuildQueryCaches(&builder, fix_->star->queries());
   }
   static void TearDownTestSuite() {
     delete fix_;
@@ -165,9 +169,10 @@ class SealedCacheTest : public ::testing::Test {
     return RandomSubsetConfig(fix_->star->set, rng, p);
   }
 
-  static void ExpectIdentical(const WorkloadCacheResult& built,
+  static void ExpectIdentical(const std::vector<InumCache>& caches,
+                              const WorkloadCacheResult& built,
                               uint64_t seed) {
-    ExpectSealedBitIdentical(*fix_->star, built, seed);
+    ExpectSealedBitIdentical(*fix_->star, caches, built, seed);
   }
 
   static void ExpectDeltaIdentical(const WorkloadCacheResult& built,
@@ -179,11 +184,11 @@ class SealedCacheTest : public ::testing::Test {
 SealedCacheTest::Fixture* SealedCacheTest::fix_ = nullptr;
 
 TEST_F(SealedCacheTest, PinumSealedCostBitIdentical) {
-  ExpectIdentical(fix_->pinum, 101);
+  ExpectIdentical(fix_->pinum_caches, fix_->pinum, 101);
 }
 
 TEST_F(SealedCacheTest, ClassicSealedCostBitIdentical) {
-  ExpectIdentical(fix_->classic, 103);
+  ExpectIdentical(fix_->classic_caches, fix_->classic, 103);
 }
 
 TEST_F(SealedCacheTest, PinumCostWithExtraBitIdentical) {
@@ -273,11 +278,14 @@ TEST_F(SealedCacheTest, ContextExtensionMatchesFreshPreparation) {
 }
 
 TEST_F(SealedCacheTest, SealNeverGrowsThePlanSet) {
-  for (const WorkloadCacheResult* built : {&fix_->pinum, &fix_->classic}) {
-    for (size_t qi = 0; qi < built->caches.size(); ++qi) {
+  for (const auto& [built, caches] :
+       {std::pair{&fix_->pinum, &fix_->pinum_caches},
+        std::pair{&fix_->classic, &fix_->classic_caches}}) {
+    ASSERT_EQ(built->sealed.size(), caches->size());
+    for (size_t qi = 0; qi < caches->size(); ++qi) {
       EXPECT_EQ(built->sealed[qi].NumPlans() +
                     built->sealed[qi].NumPlansPruned(),
-                built->caches[qi].NumPlans());
+                (*caches)[qi].NumPlans());
       EXPECT_GT(built->sealed[qi].NumPlans(), 0u);
       EXPECT_GT(built->sealed[qi].NumTerms(), 0u);
     }
@@ -349,7 +357,7 @@ TEST_F(SealedCacheTest, GrownUniverseIdsPriceAtBaseOnOldSeal) {
   for (size_t qi = 0; qi < fix_->pinum.sealed.size(); ++qi) {
     const SealedCache& narrow = fix_->pinum.sealed[qi];
     const SealedCache wide =
-        SealedCache::Seal(fix_->pinum.caches[qi], grown.NumIndexIds());
+        SealedCache::Seal(fix_->pinum_caches[qi], grown.NumIndexIds());
     EXPECT_EQ(narrow.UniverseSize(),
               static_cast<size_t>(fix_->star->set.NumIndexIds()));
     EXPECT_EQ(wide.UniverseSize(), static_cast<size_t>(grown.NumIndexIds()));
@@ -398,11 +406,11 @@ TEST_P(FamilySealedCacheTest, SealedAndDeltaCostsBitIdentical) {
   auto fix = MakeFamilyFixture(GetParam());
   ASSERT_NE(fix, nullptr);
   SCOPED_TRACE(fix->trace());
-  auto built =
-      WorkloadCacheBuilder(&fix->catalog(), &fix->set, &fix->stats(), {})
-          .BuildAll(fix->queries());
+  WorkloadCacheBuilder builder(&fix->catalog(), &fix->set, &fix->stats());
+  auto built = builder.BuildAll(fix->queries());
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  ExpectSealedBitIdentical(*fix, *built, 211);
+  ExpectSealedBitIdentical(*fix, BuildQueryCaches(&builder, fix->queries()),
+                           *built, 211);
   ExpectDeltaBitIdentical(*fix, *built, 223);
 }
 

@@ -2,8 +2,9 @@
 // that answer every cost question bit-identically to the sealed
 // originals (infinity sentinels included), and every failure path —
 // missing file, truncation, bad magic, old/future format version,
-// payload corruption, incompatible epoch — must return its own distinct
-// Status instead of crashing or serving wrong costs. v2 epoch
+// payload corruption, crafted arena images, incompatible epoch — must
+// return its own distinct Status, from both readers (LoadSnapshot and
+// MapSnapshot) alike, instead of crashing or serving wrong costs. v2 epoch
 // semantics: statistics drift and append-only universe growth do NOT
 // reject the load — they surface as per-query staleness (the
 // incremental-reseal restart path) — while any non-prefix universe
@@ -45,6 +46,56 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(out.good()) << path;
 }
+
+/// Recomputes the header checksum (spec: FNV-1a over [40, EOF)) so a
+/// crafted payload is what the reader actually trips on — the checksum
+/// is unkeyed, so a crafted file can always carry a valid one.
+void Rechecksum(std::string* bytes) {
+  uint64_t h = 14695981039346656037ULL;
+  for (size_t i = 40; i < bytes->size(); ++i) {
+    h ^= static_cast<unsigned char>((*bytes)[i]);
+    h *= 1099511628211ULL;
+  }
+  std::memcpy(bytes->data() + 32, &h, 8);
+}
+
+/// File offset of the section tagged `tag` (0 if absent).
+uint64_t SectionOffset(const std::string& bytes, uint32_t tag) {
+  uint32_t section_count = 0;
+  std::memcpy(&section_count, bytes.data() + 16, 4);
+  for (uint32_t i = 0; i < section_count; ++i) {
+    const char* entry = bytes.data() + 40 + i * 24;
+    uint32_t t = 0;
+    std::memcpy(&t, entry, 4);
+    if (t == tag) {
+      uint64_t offset = 0;
+      std::memcpy(&offset, entry + 8, 8);
+      return offset;
+    }
+  }
+  return 0;
+}
+
+/// File offset of the first cache record's arena image: the caches
+/// section starts u32 count, u32 reserved, u64 length-count, u64
+/// lengths[count], then the records back-to-back.
+uint64_t FirstRecordOffset(const std::string& bytes) {
+  const uint64_t section = SectionOffset(bytes, 3);
+  EXPECT_NE(section, 0u);
+  uint32_t count = 0;
+  std::memcpy(&count, bytes.data() + section, 4);
+  return section + 16 + 8 * static_cast<uint64_t>(count);
+}
+
+/// The two snapshot readers. They share one reader body, so every
+/// failure case runs through both and must get the same answer.
+struct Reader {
+  const char* name;
+  StatusOr<WorkloadSnapshot> (*read)(const std::string& path,
+                                     const SnapshotEpoch& expected);
+};
+const Reader kReaders[] = {{"LoadSnapshot", &LoadSnapshot},
+                           {"MapSnapshot", &MapSnapshot}};
 
 /// The shared star fixture (tests/test_util.h — capped at 5-way joins,
 /// like the sealed-cache suite) plus one PINUM build and a snapshot of
@@ -101,6 +152,37 @@ class SnapshotTest : public ::testing::Test {
   /// shard's identical file and patches instead of encoding).
   static std::string TempPath(const std::string& name) {
     return ::testing::TempDir() + std::to_string(getpid()) + "_" + name;
+  }
+
+  static SnapshotEpoch LiveEpoch() {
+    return ComputeSnapshotEpoch(fix_->star->set);
+  }
+
+  /// The failure taxonomy's one check: both readers reject `path` read
+  /// against `expected` with `code`, and with a message containing
+  /// `needle` when one is given.
+  static void ExpectRejectedAt(const std::string& path,
+                               const SnapshotEpoch& expected,
+                               StatusCode code,
+                               const std::string& needle = "") {
+    for (const Reader& reader : kReaders) {
+      SCOPED_TRACE(reader.name);
+      auto read = reader.read(path, expected);
+      ASSERT_FALSE(read.ok());
+      EXPECT_EQ(read.status().code(), code) << read.status().ToString();
+      EXPECT_NE(read.status().message().find(needle), std::string::npos)
+          << read.status().ToString();
+    }
+  }
+
+  /// ExpectRejectedAt over `bytes` written to a scratch file, against
+  /// the live epoch.
+  static void ExpectRejected(const std::string& bytes, StatusCode code,
+                             const std::string& needle = "") {
+    const std::string path = TempPath("rejected.snap");
+    WriteFile(path, bytes);
+    ExpectRejectedAt(path, LiveEpoch(), code, needle);
+    std::remove(path.c_str());
   }
 };
 
@@ -198,38 +280,27 @@ TEST_F(SnapshotTest, ReadSnapshotEpochMatchesLiveEpoch) {
 }
 
 TEST_F(SnapshotTest, MissingFileIsNotFound) {
-  auto loaded = fix_->builder->LoadSnapshot(TempPath("no_such.snap"));
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+  ExpectRejectedAt(TempPath("no_such.snap"), LiveEpoch(),
+                   StatusCode::kNotFound);
 }
 
 TEST_F(SnapshotTest, TruncationIsOutOfRange) {
   const std::string bytes = SnapshotBytes();
-  const std::string path = TempPath("truncated.snap");
   // Every truncation point — inside the header, inside the section
   // table, mid-payload, one byte short — must report kOutOfRange with
   // no crash (ASan-clean), never garbage costs.
   for (size_t keep :
        {size_t{0}, size_t{4}, size_t{12}, size_t{39}, size_t{96},
         bytes.size() / 2, bytes.size() - 1}) {
-    WriteFile(path, bytes.substr(0, keep));
-    auto loaded = fix_->builder->LoadSnapshot(path);
-    ASSERT_FALSE(loaded.ok()) << "kept " << keep << " bytes";
-    EXPECT_EQ(loaded.status().code(), StatusCode::kOutOfRange)
-        << "kept " << keep << " bytes: " << loaded.status().ToString();
+    SCOPED_TRACE("kept " + std::to_string(keep) + " bytes");
+    ExpectRejected(bytes.substr(0, keep), StatusCode::kOutOfRange);
   }
-  std::remove(path.c_str());
 }
 
 TEST_F(SnapshotTest, BadMagicIsInvalidArgument) {
   std::string bytes = SnapshotBytes();
   bytes[0] = 'X';
-  const std::string path = TempPath("bad_magic.snap");
-  WriteFile(path, bytes);
-  auto loaded = fix_->builder->LoadSnapshot(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
+  ExpectRejected(bytes, StatusCode::kInvalidArgument);
 }
 
 TEST_F(SnapshotTest, FutureFormatVersionIsUnimplemented) {
@@ -240,30 +311,20 @@ TEST_F(SnapshotTest, FutureFormatVersionIsUnimplemented) {
   // differently.
   const uint32_t future = kSnapshotFormatVersion + 1;
   std::memcpy(bytes.data() + 12, &future, sizeof(future));
-  const std::string path = TempPath("future.snap");
-  WriteFile(path, bytes);
-  auto loaded = fix_->builder->LoadSnapshot(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kUnimplemented);
-  std::remove(path.c_str());
+  ExpectRejected(bytes, StatusCode::kUnimplemented);
 }
 
 TEST_F(SnapshotTest, PayloadCorruptionIsInternal) {
   const std::string pristine = SnapshotBytes();
-  const std::string path = TempPath("corrupt.snap");
-  // Any flipped payload bit — section table, epoch, costs, postings —
-  // trips the checksum before the bytes are believed.
+  // Any flipped payload bit — section table, epoch, arena images — trips
+  // the checksum before the bytes are believed.
   for (size_t at : {size_t{40}, size_t{64}, pristine.size() / 2,
                     pristine.size() - 1}) {
+    SCOPED_TRACE("flip at " + std::to_string(at));
     std::string bytes = pristine;
     bytes[at] = static_cast<char>(bytes[at] ^ 0x40);
-    WriteFile(path, bytes);
-    auto loaded = fix_->builder->LoadSnapshot(path);
-    ASSERT_FALSE(loaded.ok()) << "flip at " << at;
-    EXPECT_EQ(loaded.status().code(), StatusCode::kInternal)
-        << "flip at " << at << ": " << loaded.status().ToString();
+    ExpectRejected(bytes, StatusCode::kInternal);
   }
-  std::remove(path.c_str());
 }
 
 TEST_F(SnapshotTest, StatsDriftLoadsAndReportsStaleQueries) {
@@ -348,11 +409,8 @@ TEST_F(SnapshotTest, ShrunkUniverseIsFailedPrecondition) {
   }
   auto shrunk = MakeCandidateSet(base, fewer);
   ASSERT_TRUE(shrunk.ok());
-  auto loaded = LoadSnapshot(fix_->path, ComputeSnapshotEpoch(*shrunk));
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(loaded.status().message().find("prefix"), std::string::npos)
-      << loaded.status().ToString();
+  ExpectRejectedAt(fix_->path, ComputeSnapshotEpoch(*shrunk),
+                   StatusCode::kFailedPrecondition, "prefix");
 }
 
 TEST_F(SnapshotTest, BaseSchemaDriftIsFailedPrecondition) {
@@ -370,25 +428,19 @@ TEST_F(SnapshotTest, BaseSchemaDriftIsFailedPrecondition) {
   }
   auto rebased = MakeCandidateSet(changed, candidates);
   ASSERT_TRUE(rebased.ok());
-  auto loaded = LoadSnapshot(fix_->path, ComputeSnapshotEpoch(*rebased));
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(loaded.status().message().find("schema"), std::string::npos)
-      << loaded.status().ToString();
+  ExpectRejectedAt(fix_->path, ComputeSnapshotEpoch(*rebased),
+                   StatusCode::kFailedPrecondition, "schema");
 }
 
 TEST_F(SnapshotTest, CandidateVocabularyDriftIsFailedPrecondition) {
   // Same universe size, same candidate count, different id assignment
   // (candidates regenerated in another order): not a prefix of the live
   // vocabulary, so the sealed subscripts cannot be trusted.
-  SnapshotEpoch permuted = ComputeSnapshotEpoch(fix_->star->set);
+  SnapshotEpoch permuted = LiveEpoch();
   ASSERT_GE(permuted.candidate_ids.size(), 2u);
   std::swap(permuted.candidate_ids[0], permuted.candidate_ids[1]);
-  auto loaded = LoadSnapshot(fix_->path, permuted);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(loaded.status().message().find("prefix"), std::string::npos)
-      << loaded.status().ToString();
+  ExpectRejectedAt(fix_->path, permuted, StatusCode::kFailedPrecondition,
+                   "prefix");
 }
 
 TEST_F(SnapshotTest, IncrementalSavePatchesOnlyResealedSections) {
@@ -509,53 +561,67 @@ TEST_F(SnapshotTest, GrowthReEncodesWidenedRecordsOnSave) {
 }
 
 TEST_F(SnapshotTest, OldFormatVersionIsUnimplemented) {
-  // A v1 file (global epoch, no per-query stamps) has nothing safely
-  // reusable; it must be rejected on the version field, loudly and
-  // distinctly.
-  std::string bytes = SnapshotBytes();
-  const uint32_t old_version = 1;
-  std::memcpy(bytes.data() + 12, &old_version, sizeof(old_version));
-  const std::string path = TempPath("v1.snap");
-  WriteFile(path, bytes);
-  auto loaded = fix_->builder->LoadSnapshot(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kUnimplemented);
-  std::remove(path.c_str());
+  // Pre-arena formats — v2's per-field cache encoding, v1's global
+  // epoch without per-query stamps — have nothing safely reusable; they
+  // must be rejected on the version field alone, loudly and distinctly.
+  for (uint32_t old_version : {uint32_t{2}, uint32_t{1}}) {
+    SCOPED_TRACE("version " + std::to_string(old_version));
+    std::string bytes = SnapshotBytes();
+    std::memcpy(bytes.data() + 12, &old_version, sizeof(old_version));
+    ExpectRejected(bytes, StatusCode::kUnimplemented);
+  }
 }
 
 TEST_F(SnapshotTest, CraftedHugeCountIsRejectedWithoutAllocating) {
-  // A crafted file can carry a valid checksum (FNV-1a is unkeyed), so
-  // count fields must be bounded by the bytes actually present before
-  // anything is allocated: a 0xFFFFFFFF query count must come back as
-  // corruption, not as a multi-gigabyte reserve / bad_alloc.
+  // Count fields must be bounded by the bytes actually present before
+  // anything is allocated: a 0xFFFFFFFF query count in a checksum-valid
+  // file must come back as corruption, not as a multi-gigabyte reserve
+  // / bad_alloc.
   std::string bytes = SnapshotBytes();
-  uint32_t section_count = 0;
-  std::memcpy(&section_count, bytes.data() + 16, 4);
-  uint64_t queries_offset = 0;
-  for (uint32_t i = 0; i < section_count; ++i) {
-    const char* entry = bytes.data() + 40 + i * 24;
-    uint32_t tag = 0;
-    std::memcpy(&tag, entry, 4);
-    if (tag == 2) std::memcpy(&queries_offset, entry + 8, 8);
-  }
+  const uint64_t queries_offset = SectionOffset(bytes, 2);
   ASSERT_NE(queries_offset, 0u);
   const uint32_t huge = 0xFFFFFFFFu;
   std::memcpy(bytes.data() + queries_offset, &huge, 4);
-  // Recompute the payload checksum (spec: FNV-1a over [40, EOF)) so the
-  // crafted count is what the reader actually trips on.
-  uint64_t h = 14695981039346656037ULL;
-  for (size_t i = 40; i < bytes.size(); ++i) {
-    h ^= static_cast<unsigned char>(bytes[i]);
-    h *= 1099511628211ULL;
-  }
-  std::memcpy(bytes.data() + 32, &h, 8);
-  const std::string path = TempPath("crafted.snap");
-  WriteFile(path, bytes);
-  auto loaded = fix_->builder->LoadSnapshot(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInternal)
-      << loaded.status().ToString();
-  std::remove(path.c_str());
+  Rechecksum(&bytes);
+  ExpectRejected(bytes, StatusCode::kInternal);
+}
+
+TEST_F(SnapshotTest, MisalignedArenaOffsetIsInternal) {
+  // A checksum-valid image whose directory points an array at a
+  // non-8-aligned offset: ValidateImage must reject it (kInternal)
+  // before any typed view exists — this is the UB the validation
+  // exists to prevent, not just a wrong answer.
+  std::string bytes = SnapshotBytes();
+  const uint64_t record = FirstRecordOffset(bytes);
+  // First directory entry's offset field (record + 16).
+  uint64_t offset = 0;
+  std::memcpy(&offset, bytes.data() + record + 16, 8);
+  offset += 4;
+  std::memcpy(bytes.data() + record + 16, &offset, 8);
+  Rechecksum(&bytes);
+  ExpectRejected(bytes, StatusCode::kInternal, "misaligned");
+}
+
+TEST_F(SnapshotTest, OutOfBoundsArenaOffsetIsInternal) {
+  // A checksum-valid image whose directory points outside the image:
+  // rejected before any view, with no out-of-bounds read (ASan-clean).
+  std::string bytes = SnapshotBytes();
+  const uint64_t record = FirstRecordOffset(bytes);
+  const uint64_t huge = uint64_t{1} << 40;
+  std::memcpy(bytes.data() + record + 16, &huge, 8);
+  Rechecksum(&bytes);
+  ExpectRejected(bytes, StatusCode::kInternal, "out of bounds");
+}
+
+TEST_F(SnapshotTest, CountedArrayOverrunIsInternal) {
+  // In-bounds offset, crafted count overrunning the image: the third
+  // arena rejection class (offset OK, extent not).
+  std::string bytes = SnapshotBytes();
+  const uint64_t record = FirstRecordOffset(bytes);
+  const uint64_t huge_count = uint64_t{1} << 32;
+  std::memcpy(bytes.data() + record + 24, &huge_count, 8);
+  Rechecksum(&bytes);
+  ExpectRejected(bytes, StatusCode::kInternal, "overruns");
 }
 
 TEST_F(SnapshotTest, IndexSizeDriftIsFailedPrecondition) {
@@ -567,11 +633,8 @@ TEST_F(SnapshotTest, IndexSizeDriftIsFailedPrecondition) {
   IndexDef* def = resized.universe.MutableIndex(resized.candidate_ids[0]);
   ASSERT_NE(def, nullptr);
   def->leaf_pages += 1;
-  auto loaded = LoadSnapshot(fix_->path, ComputeSnapshotEpoch(resized));
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(loaded.status().message().find("candidate"), std::string::npos)
-      << loaded.status().ToString();
+  ExpectRejectedAt(fix_->path, ComputeSnapshotEpoch(resized),
+                   StatusCode::kFailedPrecondition, "candidate");
 }
 
 // Every workload family (src/workload/workload_family.h) round-trips
@@ -620,6 +683,53 @@ TEST_P(FamilySnapshotTest, RoundTripAndAdvisorBitIdentical) {
   const AdvisorResult from_snapshot =
       RunGreedyAdvisor(loaded->sealed, fix->set, opts);
   ExpectSameAdvisorResult(fresh, from_snapshot);
+  std::remove(path.c_str());
+}
+
+TEST_P(FamilySnapshotTest, RestoredTotalsMatchTheSavingBuild) {
+  // A restored result reports the saving build's plan, pruning, term
+  // and posting totals, whichever reader restored it and after a reseal
+  // too: every count comes from the sealed caches, which a restart has,
+  // not from per-query build rows, which it does not.
+  auto fix = MakeFamilyFixture(GetParam());
+  ASSERT_NE(fix, nullptr);
+  SCOPED_TRACE(fix->trace());
+  WorkloadCacheBuilder builder(&fix->catalog(), &fix->set, &fix->stats());
+  auto built = builder.BuildAll(fix->queries());
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const std::string path = ::testing::TempDir() + std::to_string(getpid()) +
+                           "_totals_" + GetParam() + ".snap";
+  ASSERT_TRUE(builder.SaveSnapshot(path, *built, fix->queries()).ok());
+
+  const WorkloadCacheStats& want = built->totals;
+  ASSERT_GT(want.plans_cached, want.plans_pruned);
+  auto expect_totals = [&want](const WorkloadCacheStats& got) {
+    EXPECT_EQ(got.plans_cached, want.plans_cached);
+    EXPECT_EQ(got.plans_pruned, want.plans_pruned);
+    EXPECT_EQ(got.terms, want.terms);
+    EXPECT_EQ(got.postings, want.postings);
+  };
+  auto mapped = builder.LoadSnapshotMapped(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  {
+    SCOPED_TRACE("mapped");
+    expect_totals(mapped->totals);
+  }
+  auto loaded = builder.LoadSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  {
+    SCOPED_TRACE("loaded");
+    expect_totals(
+        WorkloadCacheBuilder::ResultFromSnapshot(std::move(*loaded)).totals);
+  }
+  // Nothing drifted, so the rebuilt caches equal the restored ones.
+  const std::vector<std::string> names = {fix->queries().front().name,
+                                          fix->queries().back().name};
+  ASSERT_TRUE(builder.RebuildQueries(names, fix->queries(), &*mapped).ok());
+  {
+    SCOPED_TRACE("mapped, then resealed");
+    expect_totals(mapped->totals);
+  }
   std::remove(path.c_str());
 }
 

@@ -28,6 +28,22 @@
 
 namespace pinum {
 
+/// The build-time oracle: every query's InumCache, rebuilt by `builder`
+/// with the mode, knobs and shared store its BuildAll used (call it
+/// after that BuildAll, under the same world). EXPECTs every build to
+/// succeed; a failed query gets an empty cache.
+inline std::vector<InumCache> BuildQueryCaches(
+    WorkloadCacheBuilder* builder, const std::vector<Query>& queries) {
+  std::vector<InumCache> caches;
+  caches.reserve(queries.size());
+  for (const Query& q : queries) {
+    auto cache = builder->BuildQueryCache(q);
+    EXPECT_TRUE(cache.ok()) << q.name << ": " << cache.status().ToString();
+    caches.push_back(cache.ok() ? std::move(*cache) : InumCache{});
+  }
+  return caches;
+}
+
 /// Every field of two advisor runs, compared exactly — costs are
 /// doubles compared with ==, because the delta path's contract (and the
 /// batched/serial pricing contract before it) is bitwise equality, not
@@ -284,12 +300,15 @@ struct MiniWorkloadFixture {
     set = *MakeCandidateSet(mini.db.catalog(), cands);
   }
 
-  /// Builds the workload with `opts` (EXPECTs success).
-  WorkloadCacheResult Build(WorkloadCacheOptions opts) {
+  /// Builds the workload with `opts` (EXPECTs success); `caches`, when
+  /// given, receives the build-time oracle from the same builder.
+  WorkloadCacheResult Build(WorkloadCacheOptions opts,
+                            std::vector<InumCache>* caches = nullptr) {
     WorkloadCacheBuilder builder(&mini.db.catalog(), &set, &mini.db.stats(),
                                  opts);
     auto result = builder.BuildAll(queries);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (caches != nullptr) *caches = BuildQueryCaches(&builder, queries);
     return std::move(*result);
   }
 

@@ -24,8 +24,9 @@ class WorkloadCacheTest : public ::testing::Test {
   WorkloadCacheTest()
       : mini_(fixture_.mini), queries_(fixture_.queries), set_(fixture_.set) {}
 
-  WorkloadCacheResult Build(WorkloadCacheOptions opts) {
-    return fixture_.Build(opts);
+  WorkloadCacheResult Build(WorkloadCacheOptions opts,
+                            std::vector<InumCache>* caches = nullptr) {
+    return fixture_.Build(opts, caches);
   }
 
   /// Random atomic configuration (at most one index per table).
@@ -61,8 +62,8 @@ TEST_F(WorkloadCacheTest, PinumAndClassicAgreeOnConfigCosts) {
   for (size_t qi = 0; qi < queries_.size(); ++qi) {
     for (int trial = 0; trial < 25; ++trial) {
       const IndexConfig config = RandomAtomicConfig(queries_[qi], &rng);
-      const double p = pinum.caches[qi].Cost(config);
-      const double c = classic.caches[qi].Cost(config);
+      const double p = pinum.sealed[qi].Cost(config);
+      const double c = classic.sealed[qi].Cost(config);
       Catalog sub = set_.Subset(config);
       Optimizer opt(&sub, &mini_.db.stats());
       PlannerKnobs knobs;
@@ -94,8 +95,8 @@ TEST_F(WorkloadCacheTest, PinumNeverWorseThanClassicWithNlj) {
   for (size_t qi = 0; qi < queries_.size(); ++qi) {
     for (int trial = 0; trial < 25; ++trial) {
       const IndexConfig config = RandomAtomicConfig(queries_[qi], &rng);
-      EXPECT_LE(pinum.caches[qi].Cost(config),
-                classic.caches[qi].Cost(config) + 1e-6);
+      EXPECT_LE(pinum.sealed[qi].Cost(config),
+                classic.sealed[qi].Cost(config) + 1e-6);
     }
   }
 }
@@ -115,13 +116,14 @@ TEST_F(WorkloadCacheTest, ConcurrentBuildsAreDeterministic) {
     parallel.num_threads = 4;
     const WorkloadCacheResult b = Build(parallel);
 
-    ASSERT_EQ(a.caches.size(), b.caches.size());
+    ASSERT_EQ(a.sealed.size(), b.sealed.size());
+    EXPECT_EQ(a.totals.plans_cached, b.totals.plans_cached);
     Rng rng(13);
     for (size_t qi = 0; qi < queries_.size(); ++qi) {
-      EXPECT_EQ(a.caches[qi].NumPlans(), b.caches[qi].NumPlans());
+      EXPECT_EQ(a.sealed[qi].NumPlans(), b.sealed[qi].NumPlans());
       for (int trial = 0; trial < 40; ++trial) {
         const IndexConfig config = RandomAtomicConfig(queries_[qi], &rng);
-        EXPECT_EQ(a.caches[qi].Cost(config), b.caches[qi].Cost(config))
+        EXPECT_EQ(a.sealed[qi].Cost(config), b.sealed[qi].Cost(config))
             << "mode " << static_cast<int>(mode) << " query " << qi;
       }
     }
@@ -145,7 +147,7 @@ TEST_F(WorkloadCacheTest, SharingDoesNotChangeCosts) {
     for (size_t qi = 0; qi < queries_.size(); ++qi) {
       for (int trial = 0; trial < 40; ++trial) {
         const IndexConfig config = RandomAtomicConfig(queries_[qi], &rng);
-        EXPECT_EQ(a.caches[qi].Cost(config), b.caches[qi].Cost(config))
+        EXPECT_EQ(a.sealed[qi].Cost(config), b.sealed[qi].Cost(config))
             << "mode " << static_cast<int>(mode) << " query " << qi;
       }
     }
@@ -199,8 +201,8 @@ TEST_F(WorkloadCacheTest, SharingPreservesBaseIndexCosts) {
   };
   for (size_t qi = 0; qi < repeated.size(); ++qi) {
     for (const IndexConfig& config : configs) {
-      EXPECT_EQ(shared->caches[qi].Cost(config),
-                unshared->caches[qi].Cost(config))
+      EXPECT_EQ(shared->sealed[qi].Cost(config),
+                unshared->sealed[qi].Cost(config))
           << "query " << qi << " config size " << config.size();
     }
   }
@@ -213,8 +215,11 @@ TEST_F(WorkloadCacheTest, SharingPreservesBaseIndexCosts) {
   const int d1_pos = repeated[1].PosOfTable(mini.d1);
   const ColumnRef d1_id{mini.d1, 0};
   const IndexConfig base_only = {*base_id};
-  const AccessCostTable& shared_acc = shared->caches[1].access();
-  const AccessCostTable& unshared_acc = unshared->caches[1].access();
+  auto shared_clone = shared_b.BuildQueryCache(repeated[1]);
+  auto unshared_clone = unshared_b.BuildQueryCache(repeated[1]);
+  ASSERT_TRUE(shared_clone.ok() && unshared_clone.ok());
+  const AccessCostTable& shared_acc = shared_clone->access();
+  const AccessCostTable& unshared_acc = unshared_clone->access();
   EXPECT_LT(unshared_acc.Probe(d1_pos, d1_id, base_only), kInfiniteCost);
   EXPECT_EQ(shared_acc.Probe(d1_pos, d1_id, base_only),
             unshared_acc.Probe(d1_pos, d1_id, base_only));
@@ -276,13 +281,14 @@ TEST_F(WorkloadCacheTest, SharedStoreDropsAccessCostCalls) {
 TEST_F(WorkloadCacheTest, BatchedAdvisorMatchesSerialAdvisor) {
   WorkloadCacheOptions opts;
   opts.num_threads = 1;
-  const WorkloadCacheResult built = Build(opts);
+  std::vector<InumCache> caches;
+  const WorkloadCacheResult built = Build(opts, &caches);
 
   AdvisorOptions aopts;
   aopts.budget_bytes = 512LL * 1024 * 1024;
   // The InumCache overload seals internally; it must agree exactly with
   // batched pricing over the builder's own sealed vector.
-  const AdvisorResult serial = RunGreedyAdvisor(built.caches, set_, aopts);
+  const AdvisorResult serial = RunGreedyAdvisor(caches, set_, aopts);
 
   ThreadPool pool(4);
   const WorkloadCostEvaluator evaluator(&built.sealed, &pool);
@@ -296,20 +302,21 @@ TEST_F(WorkloadCacheTest, BatchedAdvisorMatchesSerialAdvisor) {
 }
 
 TEST_F(WorkloadCacheTest, BuilderSealsEveryCacheIdentically) {
-  // BuildAll returns both forms; every sealed cache must price every
-  // configuration bit-identically to its build-time source.
+  // Every cache BuildAll sealed inside its pooled build task must price
+  // every configuration bit-identically to its build-time source.
   WorkloadCacheOptions opts;
   opts.num_threads = 4;
-  const WorkloadCacheResult built = Build(opts);
-  ASSERT_EQ(built.sealed.size(), built.caches.size());
+  std::vector<InumCache> caches;
+  const WorkloadCacheResult built = Build(opts, &caches);
+  ASSERT_EQ(built.sealed.size(), caches.size());
 
   Rng rng(23);
   for (size_t qi = 0; qi < queries_.size(); ++qi) {
     EXPECT_EQ(built.sealed[qi].NumPlans() + built.sealed[qi].NumPlansPruned(),
-              built.caches[qi].NumPlans());
+              caches[qi].NumPlans());
     for (int trial = 0; trial < 40; ++trial) {
       const IndexConfig config = RandomAtomicConfig(queries_[qi], &rng);
-      EXPECT_EQ(built.sealed[qi].Cost(config), built.caches[qi].Cost(config))
+      EXPECT_EQ(built.sealed[qi].Cost(config), caches[qi].Cost(config))
           << "query " << qi;
     }
   }
