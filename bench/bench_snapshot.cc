@@ -1,13 +1,13 @@
 // Snapshot restart cost: cold workload build (optimizer calls + seal)
 // vs re-loading the sealed caches from a snapshot file two ways —
-// decode-load (copy every arena onto the heap) and mmap-load (format
-// v3 zero-copy: validate once, borrow the arenas straight from the
-// mapped file) — the what-if service's restart paths (docs/
-// SNAPSHOT_FORMAT.md). Both restored forms must price bit-identically
-// to the freshly built caches (sampled configurations per query AND a
-// full greedy-advisor run are compared field for field); the
-// load-vs-build and mmap-vs-decode speedups are the point, and this
-// harness doubles as the CI guard that restores never diverge.
+// read-load (read the file into one heap buffer) and mmap-load (map the
+// file read-only); both validate once and bind every arena in place —
+// the what-if service's restart paths (docs/SNAPSHOT_FORMAT.md). Both
+// restored forms must price bit-identically to the freshly built caches
+// (sampled configurations per query AND a full greedy-advisor run are
+// compared field for field); the load-vs-build and mmap-vs-read
+// speedups are the point, and this harness doubles as the CI guard that
+// restores never diverge.
 //
 //   $ ./bench_snapshot [replicas] [--smoke] [--json out.json]
 //                      [--min-speedup X] [--min-mmap-speedup X]
@@ -17,7 +17,7 @@
 // (exit 1) on any divergence or snapshot error. --min-speedup X
 // additionally fails the run when snapshot-load is not at least X times
 // faster than the cold build; --min-mmap-speedup X fails it when
-// mmap-load is not at least X times faster than decode-load.
+// mmap-load is not at least X times faster than read-load.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -81,8 +81,8 @@ int Run(int replicas, bool smoke, const std::string& json_path,
     if (p == 0 || ms < load_ms) load_ms = ms;
   }
 
-  // Zero-copy path: same file, mapped instead of decoded. The second
-  // and later passes are pure page-cache hits — exactly the always-on
+  // Mapped path: same file, mapped instead of read. The second and
+  // later passes are pure page-cache hits — exactly the always-on
   // restart this path exists for.
   double map_ms = 0;
   WorkloadCacheResult mapped;
@@ -116,7 +116,7 @@ int Run(int replicas, bool smoke, const std::string& json_path,
       if (fresh != restored || fresh != mmapped) {
         std::fprintf(stderr,
                      "FAIL: restored cost diverges on query %zu trial %d: "
-                     "%.17g vs %.17g (decode) vs %.17g (mmap)\n",
+                     "%.17g vs %.17g (read) vs %.17g (mmap)\n",
                      qi, t, fresh, restored, mmapped);
         return 1;
       }
@@ -161,8 +161,8 @@ int Run(int replicas, bool smoke, const std::string& json_path,
               build_ms, static_cast<long long>(optimizer_calls));
   std::printf("%-28s %12.1f %16d\n", "snapshot save", save_ms, 0);
   std::printf("%-28s %12.2f %16d   (%.0fx faster than building)\n",
-              "snapshot load (decode)", load_ms, 0, speedup);
-  std::printf("%-28s %12.2f %16d   (%.1fx faster than decoding)\n",
+              "snapshot load (read)", load_ms, 0, speedup);
+  std::printf("%-28s %12.2f %16d   (%.2fx faster than reading)\n",
               "snapshot load (mmap)", map_ms, 0, mmap_speedup);
 
   if (!json_path.empty()) {
@@ -194,7 +194,7 @@ int Run(int replicas, bool smoke, const std::string& json_path,
   }
   if (min_mmap_speedup > 0 && mmap_speedup < min_mmap_speedup) {
     std::fprintf(stderr,
-                 "FAIL: mmap-vs-decode speedup %.1fx below the %.1fx floor\n",
+                 "FAIL: mmap-vs-read speedup %.2fx below the %.1fx floor\n",
                  mmap_speedup, min_mmap_speedup);
     return 1;
   }

@@ -8,15 +8,16 @@
 // file (docs/SNAPSHOT_FORMAT.md); with --load the build step is skipped
 // entirely — no optimizer call is made — and the advisor serves from the
 // restored caches, with bit-identical suggestions. --load-mmap goes one
-// step further: the cache section is not even copied — the file is
-// mapped read-only and the advisor serves straight from the page cache
-// (format v3's arena records are position-independent), printing the
-// map-vs-decode wall time side by side. With --reseal K the
+// step further: the file is not even read — it is mapped read-only and
+// the advisor serves straight from the page cache (the format's arena
+// records are position-independent), printing the map-vs-read wall time
+// side by side. With --reseal K the
 // tool additionally simulates statistics drift staling ~K queries
 // (seeded, src/workload/drift.h) and repairs the serving state through
 // WorkloadCacheBuilder::RebuildQueries — k queries' worth of optimizer
 // calls instead of a whole-workload rebuild — before advising; combined
-// with --save, the re-save patches only the resealed cache records.
+// with --save, the resealed caches are saved again and the re-save time
+// printed.
 //
 // With --search the greedy pass is followed by the anytime randomized
 // search (src/advisor/search_advisor.h): seeded parallel restarts plus
@@ -50,7 +51,7 @@ using namespace pinum;
 namespace {
 
 /// The restart path behind --load and --load-mmap: restores the snapshot
-/// at `path` (mapped or decoded), checks it holds this workload's
+/// at `path` (mapped or read), checks it holds this workload's
 /// caches, and reseals exactly the stale queries in place. Prints what
 /// it did and returns the serving caches.
 StatusOr<std::vector<SealedCache>> Restore(WorkloadCacheBuilder& builder,
@@ -115,11 +116,12 @@ StatusOr<std::vector<SealedCache>> Restore(WorkloadCacheBuilder& builder,
                 stale.empty() ? "0 optimizer calls" : "resealed above");
     return std::move(restored.sealed);
   }
-  // The headline number: map-and-validate vs decode-everything on the
-  // same file (both serve bit-identical costs; only the copies differ).
-  Stopwatch decode_timer;
-  const bool decoded = builder.LoadSnapshot(path).ok();
-  const double decode_ms = decode_timer.ElapsedMillis();
+  // The headline number: map-and-validate vs read-and-validate on the
+  // same file (both bind the same bytes in place and serve bit-identical
+  // costs; only the file read differs).
+  Stopwatch read_timer;
+  const bool read = builder.LoadSnapshot(path).ok();
+  const double read_ms = read_timer.ElapsedMillis();
   size_t borrowed_bytes = 0;
   for (const SealedCache& c : restored.sealed) borrowed_bytes += c.ArenaBytes();
   std::printf("snapshot mapped: %zu sealed caches (%.2f MB of arenas "
@@ -127,10 +129,10 @@ StatusOr<std::vector<SealedCache>> Restore(WorkloadCacheBuilder& builder,
               "resealed\n",
               restored.sealed.size(), borrowed_bytes / 1048576.0,
               restore_ms, stale.size());
-  if (decoded) {
-    std::printf("decode-load of the same file: %.2f ms -> mmap is "
+  if (read) {
+    std::printf("read-load of the same file: %.2f ms -> mmap is "
                 "%.1fx faster to first answer\n",
-                decode_ms, restore_ms > 0 ? decode_ms / restore_ms : 0.0);
+                read_ms, restore_ms > 0 ? read_ms / restore_ms : 0.0);
   }
   return std::move(restored.sealed);
 }
@@ -310,17 +312,15 @@ int main(int argc, char** argv) {
                   reseal_timer.ElapsedMillis(),
                   static_cast<long long>(full_build_calls));
       if (!save_path.empty()) {
-        SnapshotSaveStats save_stats;
+        Stopwatch resave_timer;
         Status resave = builder.SaveSnapshot(save_path, *built,
-                                             workload->queries(),
-                                             &save_stats);
+                                             workload->queries());
         if (!resave.ok()) {
           std::fprintf(stderr, "%s\n", resave.ToString().c_str());
           return 1;
         }
-        std::printf("snapshot patched in place: %zu cache records "
-                    "re-encoded, %zu reused verbatim\n",
-                    save_stats.caches_encoded, save_stats.caches_patched);
+        std::printf("resealed snapshot saved to %s in %.1f ms\n",
+                    save_path.c_str(), resave_timer.ElapsedMillis());
       }
     }
     serving = std::move(built->sealed);

@@ -4,16 +4,18 @@
 // The point of the indirection is that the same read-only view code
 // serves two backings:
 //
-//  - an *owned* arena: Seal() (and snapshot decode) packs the cache's
-//    flat arrays into one heap buffer, owned via the shared_ptr below —
-//    copies of a SealedCache share the immutable buffer instead of
-//    deep-copying eleven vectors, which is what makes publishing a
-//    serving generation (a whole-result copy) cheap;
-//  - a *borrowed* arena: a view straight into an mmap'ed snapshot file
-//    (MapSnapshot, src/inum/snapshot.h). The owner handle then pins the
-//    mapping, so a cache outliving the snapshot that produced it — and
+//  - an *owned* arena: Seal() packs the cache's flat arrays into one
+//    heap buffer, owned via the shared_ptr below — copies of a
+//    SealedCache share the immutable buffer instead of deep-copying
+//    eleven vectors, which is what makes publishing a serving generation
+//    (a whole-result copy) cheap;
+//  - a *borrowed* arena: a view straight into a snapshot file's bytes
+//    (src/inum/snapshot.h), either the one heap buffer LoadSnapshot read
+//    the file into or MapSnapshot's read-only mapping. The owner handle
+//    then pins that buffer or mapping, which all of the file's caches
+//    share, so a cache outliving the snapshot that produced it — and
 //    every result or serving generation it is copied into — is still
-//    backed by live pages.
+//    backed by live bytes.
 //
 // Images are relocatable by construction — internal references are byte
 // offsets from the image start, never pointers — so the bytes a heap
@@ -26,7 +28,6 @@
 #define PINUM_INUM_ARENA_H_
 
 #include <cstddef>
-#include <cstring>
 #include <memory>
 
 namespace pinum {
@@ -65,35 +66,20 @@ class ArenaSpan {
 };
 
 /// One immutable byte image plus whatever keeps it alive: a heap buffer
-/// (owned arena) or a file mapping (borrowed arena). Copies share the
-/// owner — arenas are immutable after construction, so sharing is safe
-/// across threads (the same guarantee SealedCache already documents).
+/// (owned arena) or a snapshot file's buffer or mapping (borrowed
+/// arena). Copies share the owner — arenas are immutable after
+/// construction, so sharing is safe across threads (the same guarantee
+/// SealedCache already documents).
 struct Arena {
   const char* data = nullptr;
   size_t size = 0;
   /// Type-erased keep-alive handle. For owned arenas this is the buffer
-  /// itself; for borrowed arenas, the mapped file. Null only for the
-  /// empty (default-constructed) arena.
+  /// itself; for borrowed arenas, the snapshot file's buffer or mapping.
+  /// Null only for the empty (default-constructed) arena.
   std::shared_ptr<const void> owner;
 
   bool empty() const { return size == 0; }
-
-  /// Heap-allocates an owned arena holding a copy of `bytes[0, n)`.
-  /// operator new's fundamental alignment (>= 8 everywhere this builds)
-  /// provides the image-start alignment contract.
-  static Arena CopyOf(const char* bytes, size_t n);
 };
-
-inline Arena Arena::CopyOf(const char* bytes, size_t n) {
-  Arena arena;
-  if (n == 0) return arena;
-  std::shared_ptr<char[]> buffer(new char[n]);
-  std::memcpy(buffer.get(), bytes, n);
-  arena.data = buffer.get();
-  arena.size = n;
-  arena.owner = std::move(buffer);
-  return arena;
-}
 
 }  // namespace pinum
 

@@ -259,9 +259,9 @@ Status SealedCache::ValidateImage(const char* data, size_t size) {
       return corrupt("posting is not a strict improvement over its base");
     }
   }
-  // The stored posting-bearing id list (v3 stores it so mapped
-  // construction needs no derivation pass) must be exactly the ids with
-  // non-empty lists, ascending — the inverted sweep trusts it.
+  // The stored posting-bearing id list (the image stores it so binding
+  // a snapshot record needs no derivation pass) must be exactly the ids
+  // with non-empty lists, ascending — the inverted sweep trusts it.
   size_t bearing = 0;
   for (size_t id = 0; id < universe; ++id) {
     if (offsets[id + 1] > offsets[id]) {
@@ -463,7 +463,7 @@ SealedCache SealedCache::Seal(const InumCache& cache, IndexId num_index_ids) {
   }
 
   // ---- Pack the arrays into one relocatable arena image (the bytes a
-  // v3 snapshot stores verbatim) and bind the serving views over it. ----
+  // snapshot stores verbatim) and bind the serving views over it. ----
   struct Entry {
     const void* data;
     size_t count;

@@ -46,9 +46,10 @@
 // Storage: every array lives in ONE relocatable, 8-byte-aligned arena
 // image (src/inum/arena.h) and is read through ArenaSpan views. The
 // image is what Seal() builds on the heap, what the snapshot layer
-// writes to disk verbatim (the v3 cache record IS the image — see
-// docs/SNAPSHOT_FORMAT.md), and what snapshot_mmap.{h,cc} serves
-// straight out of a mapped file with zero per-element decode. Copying a
+// writes to disk verbatim (a snapshot's cache record IS the image — see
+// docs/SNAPSHOT_FORMAT.md), and what both snapshot readers
+// (src/inum/snapshot.cc) serve in place, out of the loaded file's
+// buffer or a mapping, with zero per-element decode. Copying a
 // SealedCache shares the immutable arena (cheap — publishing a serving
 // generation copies a whole workload's caches); moving transfers the
 // backing and leaves the source default-constructed. Both preserve
@@ -203,7 +204,7 @@ class SealedCache {
   /// unreseal'd after append-only universe growth (incremental reseal).
   size_t UniverseSize() const { return universe_; }
   /// Process-unique identity of this seal's *contents*: freshly drawn by
-  /// every Seal() and snapshot decode/map (never 0, never reused within
+  /// every Seal() and snapshot load/map (never 0, never reused within
   /// a process), carried along by copies and moves — both answer
   /// bit-identically, so contexts pinned against the original stay
   /// valid. Assigning a different cache into a slot (RebuildQueries
@@ -211,14 +212,14 @@ class SealedCache {
   /// which is how CostContext/EvalScratch staleness is detected.
   uint64_t seal_id() const { return seal_id_; }
   /// Bytes of the backing arena image (0 for a default-constructed
-  /// cache) — also exactly this cache's v3 snapshot record size.
+  /// cache) — also exactly this cache's snapshot record size.
   size_t ArenaBytes() const { return arena_.size; }
 
  private:
-  /// The persistence layer (src/inum/snapshot.cc, snapshot_mmap.cc)
-  /// writes the arena image verbatim and rebinds views over validated
-  /// bytes; any layout change must bump kSnapshotFormatVersion and be
-  /// reflected in docs/SNAPSHOT_FORMAT.md in the same change.
+  /// The persistence layer (src/inum/snapshot.cc) writes the arena
+  /// image verbatim and rebinds views over validated bytes; any layout
+  /// change must bump kSnapshotFormatVersion and be reflected in
+  /// docs/SNAPSHOT_FORMAT.md in the same change.
   friend class SnapshotCodec;
 
   /// One surviving plan: internal cost plus a slice of
@@ -236,7 +237,7 @@ class SealedCache {
 
   // ---- Arena image layout (all offsets relative to the image start,
   // every array offset a multiple of kArenaAlign; see
-  // docs/SNAPSHOT_FORMAT.md "cache record (v3)") --------------------------
+  // docs/SNAPSHOT_FORMAT.md "Cache record = arena image") ---------------
   /// Array order in the image directory.
   enum ImageArray : size_t {
     kImgTermBases = 0,
@@ -290,13 +291,13 @@ class SealedCache {
   void Reset();
 
   /// The one backing buffer every span below points into: heap-owned
-  /// (Seal, snapshot decode) or borrowed from a mapped snapshot file.
+  /// (Seal) or borrowed from a snapshot file's buffer or mapping.
   Arena arena_;
 
   /// One past the largest IndexId the sealed arrays cover.
   size_t universe_ = 0;
 
-  /// See seal_id(). Not persisted: decode/map draws a fresh one.
+  /// See seal_id(). Not persisted: load/map draws a fresh one.
   uint64_t seal_id_ = 0;
 
   /// Per-term cost under the empty configuration (heap for unordered

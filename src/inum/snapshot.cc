@@ -3,49 +3,668 @@
 // bytes written here must bump kSnapshotFormatVersion (snapshot.h) and
 // be recorded in the spec's version history.
 //
-// Byte-level framing, validation, the cache codec and the reader body
-// (ReadSnapshot) live in inum/snapshot_internal.h, shared with the
-// zero-copy mapped reader (snapshot_mmap.cc), so both load paths run
-// identical checks in identical order.
+// Both readers run one reader body (ReadSnapshot) over a byte range plus
+// whatever keeps it alive, and bind every cache record in place with
+// SnapshotCodec::View. They differ only in where the bytes come from:
+// LoadSnapshot reads the file into one heap buffer, MapSnapshot maps it
+// read-only. So both run identical checks in identical order.
 #include "inum/snapshot.h"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <map>
+#include <memory>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #ifndef _WIN32
 #include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
 #include "common/failpoint.h"
-#include "inum/snapshot_internal.h"
 
 namespace pinum {
 
-using snapshot_internal::AnnotateFile;
-using snapshot_internal::ByteReader;
-using snapshot_internal::ByteWriter;
-using snapshot_internal::CacheRecord;
-using snapshot_internal::DecodeEpoch;
-using snapshot_internal::DecodeQueries;
-using snapshot_internal::FnvBytes;
-using snapshot_internal::kEndianMarker;
-using snapshot_internal::kFnvOffset;
-using snapshot_internal::kHeaderBytes;
-using snapshot_internal::kMagic;
-using snapshot_internal::kSectionCaches;
-using snapshot_internal::kSectionEntryBytes;
-using snapshot_internal::kSectionEpoch;
-using snapshot_internal::kSectionQueries;
-using snapshot_internal::ReadSnapshot;
-using snapshot_internal::SliceCacheRecords;
-using snapshot_internal::SnapshotView;
-using snapshot_internal::ValidateFraming;
+// ---- SealedCache field access (the one friend, see sealed_cache.h) ------
+//
+// A cache record IS the cache's arena image, so the codec has two
+// one-line jobs: hand the writer the image to copy verbatim, and bind
+// views over a record wherever its bytes live. All structural
+// validation lives in SealedCache::ValidateImage and runs before any
+// view is handed out.
+class SnapshotCodec {
+ public:
+  /// The bytes of `c`'s record: its arena image (the canonical empty
+  /// image for a default-constructed, never-sealed cache).
+  static std::string_view Image(const SealedCache& c) {
+    static const std::string empty = SealedCache::PackEmptyImage();
+    if (c.arena_.empty()) return empty;
+    return std::string_view(c.arena_.data, c.arena_.size);
+  }
+
+  /// Validates `data[0, size)` in place and binds `out`'s views directly
+  /// over it: no copy, no per-element decode. `owner` pins the bytes
+  /// (LoadSnapshot's file buffer or MapSnapshot's mapping) for the
+  /// cache's lifetime, copies included. The image start must be
+  /// 8-aligned. The format's section/record alignment plus an aligned
+  /// base (operator new's or a page-aligned mapping's) guarantees that,
+  /// and it is re-checked here because a crafted record length can
+  /// misalign every record after it.
+  static Status View(const char* data, size_t size,
+                     std::shared_ptr<const void> owner, SealedCache* out) {
+    if (reinterpret_cast<uintptr_t>(data) % kArenaAlign != 0) {
+      return Status::Internal("snapshot corrupt: cache record is misaligned");
+    }
+    PINUM_RETURN_IF_ERROR(SealedCache::ValidateImage(data, size));
+    Arena arena;
+    arena.data = data;
+    arena.size = size;
+    arena.owner = std::move(owner);
+    out->BindImage(std::move(arena));
+    return Status::OK();
+  }
+};
 
 namespace {
+
+// ---- File-level constants (see docs/SNAPSHOT_FORMAT.md) -----------------
+
+constexpr char kMagic[8] = {'P', 'I', 'N', 'U', 'M', 'S', 'N', 'P'};
+/// Written in the host's byte order; a reader on the other endianness
+/// sees the bytes reversed and rejects the file instead of decoding
+/// garbage.
+constexpr uint32_t kEndianMarker = 0x01020304u;
+constexpr size_t kHeaderBytes = 40;
+constexpr size_t kSectionEntryBytes = 24;
+
+/// Section tags. Unknown tags are skipped on read (a same-version writer
+/// may append informational sections), but the three below are required.
+constexpr uint32_t kSectionEpoch = 1;
+constexpr uint32_t kSectionQueries = 2;
+constexpr uint32_t kSectionCaches = 3;
+
+// ---- FNV-1a 64: the checksum and the epoch fingerprints -----------------
+
+constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
+constexpr uint64_t kFnvPrime = 1099511628211ULL;
+
+uint64_t FnvBytes(uint64_t h, const void* data, size_t n) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
+/// The file checksum over `data[0, n)`: the FNV-1a step applied to
+/// native u64 words, h = (h ^ w) * prime, then any trailing bytes folded
+/// one at a time. For a fixed word each step is a bijection on h (the
+/// prime is odd), so changing any single word always changes the result,
+/// and one multiply per 8 bytes keeps the readers' one pass over the
+/// file cheap.
+uint64_t Checksum(const char* data, size_t n) {
+  uint64_t h = kFnvOffset;
+  size_t i = 0;
+  for (; i + sizeof(uint64_t) <= n; i += sizeof(uint64_t)) {
+    uint64_t word;
+    std::memcpy(&word, data + i, sizeof(word));
+    h = (h ^ word) * kFnvPrime;
+  }
+  return FnvBytes(h, data + i, n - i);
+}
+
+Status Corrupt(const std::string& what) {
+  return Status::Internal("snapshot corrupt: " + what);
+}
+
+/// Appends the originating file path to a failure Status. Fleet logs
+/// aggregate errors from many processes serving many snapshots; a
+/// path-free "snapshot corrupt" line cannot be acted on. Applied at the
+/// boundary where the path is known (the readers and the saver), so the
+/// byte-level validators stay path-agnostic.
+Status AnnotateFile(Status st, const std::string& path) {
+  if (st.ok()) return st;
+  return Status(st.code(), st.message() + " [file: " + path + "]");
+}
+
+// ---- Byte-level encode/decode helpers -----------------------------------
+
+class ByteWriter {
+ public:
+  void U32(uint32_t v) { Raw(&v, sizeof(v)); }
+  void U64(uint64_t v) { Raw(&v, sizeof(v)); }
+  void I32(int32_t v) { Raw(&v, sizeof(v)); }
+  void Raw(const void* data, size_t n) {
+    out_.append(static_cast<const char*>(data), n);
+  }
+  /// u64 element count + raw element bytes.
+  template <typename T>
+  void Vec(const std::vector<T>& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    U64(v.size());
+    if (!v.empty()) Raw(v.data(), v.size() * sizeof(T));
+  }
+
+  const std::string& bytes() const { return out_; }
+  size_t size() const { return out_.size(); }
+
+ private:
+  std::string out_;
+};
+
+/// Bounds-checked reader over one section's bytes. Overruns report
+/// kInternal (corruption): by the time sections are decoded, the
+/// header's file-size check has already ruled plain truncation out.
+class ByteReader {
+ public:
+  ByteReader(const char* data, size_t size) : data_(data), size_(size) {}
+
+  Status Raw(void* dst, size_t n, const char* what) {
+    if (n > size_ - pos_) {
+      return Corrupt(std::string(what) + " overruns its section (" +
+                     std::to_string(n) + " bytes at section offset " +
+                     std::to_string(pos_) + " of " + std::to_string(size_) +
+                     ")");
+    }
+    std::memcpy(dst, data_ + pos_, n);
+    pos_ += n;
+    return Status::OK();
+  }
+  Status U32(uint32_t* v, const char* what) { return Raw(v, sizeof(*v), what); }
+  Status U64(uint64_t* v, const char* what) { return Raw(v, sizeof(*v), what); }
+  Status I32(int32_t* v, const char* what) { return Raw(v, sizeof(*v), what); }
+
+  /// Reads a u64-count-prefixed element array. The count is validated
+  /// against the bytes actually remaining before anything is allocated,
+  /// so a crafted count cannot trigger a huge resize.
+  template <typename T>
+  Status Vec(std::vector<T>* out, const char* what) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    uint64_t count = 0;
+    PINUM_RETURN_IF_ERROR(U64(&count, what));
+    if (count > (size_ - pos_) / sizeof(T)) {
+      return Corrupt(std::string(what) + " count overruns its section (" +
+                     std::to_string(count) + " elements declared at section"
+                     " offset " + std::to_string(pos_ - sizeof(uint64_t)) +
+                     ", " + std::to_string(size_ - pos_) + " bytes remain)");
+    }
+    out->resize(static_cast<size_t>(count));
+    if (count != 0) {
+      std::memcpy(out->data(), data_ + pos_,
+                  static_cast<size_t>(count) * sizeof(T));
+      pos_ += static_cast<size_t>(count) * sizeof(T);
+    }
+    return Status::OK();
+  }
+
+  bool AtEnd() const { return pos_ == size_; }
+  /// Bytes left in the section — the bound every count read from the
+  /// file must be validated against *before* any allocation.
+  size_t Remaining() const { return size_ - pos_; }
+  /// Current offset into the section: lets length-prefixed sub-records
+  /// (the caches section's per-record slices) be framed exactly.
+  size_t Position() const { return pos_; }
+
+ private:
+  const char* data_;
+  size_t size_;
+  size_t pos_ = 0;
+};
+
+// ---- Whole-file framing -------------------------------------------------
+
+/// A validated view of a snapshot's framing: the raw bytes (NOT owned —
+/// the caller's buffer or mapping must outlive the view) plus the
+/// section table.
+struct SnapshotView {
+  const char* data = nullptr;
+  struct Section {
+    uint32_t tag = 0;
+    uint64_t offset = 0;
+    uint64_t length = 0;
+  };
+  std::vector<Section> sections;
+
+  const Section* Find(uint32_t tag) const {
+    for (const Section& s : sections) {
+      if (s.tag == tag) return &s;
+    }
+    return nullptr;
+  }
+  const char* SectionData(const Section& s) const {
+    return data + s.offset;
+  }
+};
+
+/// Why each older format version cannot be read, indexed by version.
+/// None is migrated: snapshots are rebuildable caches.
+constexpr const char* kOldVersionReasons[] = {
+    "",
+    "predates per-query epoch stamps",
+    "predates the arena cache layout",
+    "uses the byte-wise checksum that version 4 replaced",
+};
+static_assert(std::size(kOldVersionReasons) == kSnapshotFormatVersion,
+              "give every format version older than this one a reason");
+
+/// Validates the file-level framing over raw bytes: magic, byte order,
+/// version, declared length, checksum, and section-table bounds. Every
+/// failure mode maps to its own StatusCode (see snapshot.h). This is
+/// the one full pass over the bytes the readers pay (the checksum);
+/// everything after it is O(sections + queries).
+Status ValidateFraming(const char* data, size_t actual_size,
+                       SnapshotView* out) {
+  char msg[192];
+  if (actual_size < kHeaderBytes) {
+    std::snprintf(msg, sizeof(msg),
+                  "snapshot truncated: %zu bytes is smaller than the %zu-byte"
+                  " header",
+                  actual_size, kHeaderBytes);
+    return Status::OutOfRange(msg);
+  }
+  if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
+    return Status::InvalidArgument("not a pinum snapshot (bad magic)");
+  }
+  uint32_t endian, version, section_count;
+  uint64_t declared_size, checksum;
+  std::memcpy(&endian, data + 8, 4);
+  std::memcpy(&version, data + 12, 4);
+  std::memcpy(&section_count, data + 16, 4);
+  std::memcpy(&declared_size, data + 24, 8);
+  std::memcpy(&checksum, data + 32, 8);
+  if (endian != kEndianMarker) {
+    return Status::InvalidArgument(
+        "snapshot byte order differs from this host's (written on a"
+        " foreign-endian machine)");
+  }
+  if (version > kSnapshotFormatVersion) {
+    std::snprintf(msg, sizeof(msg),
+                  "snapshot format version %u is newer than the newest"
+                  " supported (%u); rebuild the snapshot or upgrade",
+                  version, kSnapshotFormatVersion);
+    return Status::Unimplemented(msg);
+  }
+  if (version == 0) return Corrupt("format version 0");
+  if (version < kSnapshotFormatVersion) {
+    std::snprintf(msg, sizeof(msg),
+                  "snapshot format version %u %s (oldest supported is %u);"
+                  " rebuild the caches and save a fresh snapshot",
+                  version, kOldVersionReasons[version],
+                  kSnapshotFormatVersion);
+    return Status::Unimplemented(msg);
+  }
+  if (declared_size > actual_size) {
+    std::snprintf(msg, sizeof(msg),
+                  "snapshot truncated: file is %zu bytes, header declares"
+                  " %" PRIu64,
+                  actual_size, declared_size);
+    return Status::OutOfRange(msg);
+  }
+  if (declared_size < actual_size) {
+    return Corrupt("trailing bytes past the declared file size");
+  }
+  if (Checksum(data + kHeaderBytes, actual_size - kHeaderBytes) != checksum) {
+    return Corrupt("checksum mismatch");
+  }
+
+  out->data = data;
+  out->sections.clear();
+  const size_t table_bytes =
+      static_cast<size_t>(section_count) * kSectionEntryBytes;
+  if (table_bytes > actual_size - kHeaderBytes) {
+    return Corrupt("section table overruns the file");
+  }
+  for (uint32_t i = 0; i < section_count; ++i) {
+    const char* entry = data + kHeaderBytes + i * kSectionEntryBytes;
+    SnapshotView::Section s;
+    std::memcpy(&s.tag, entry, 4);
+    std::memcpy(&s.offset, entry + 8, 8);
+    std::memcpy(&s.length, entry + 16, 8);
+    if (s.offset < kHeaderBytes + table_bytes || s.offset > actual_size ||
+        s.length > actual_size - s.offset) {
+      std::snprintf(msg, sizeof(msg),
+                    "section %u (tag %u) overruns the file (offset %" PRIu64
+                    ", length %" PRIu64 ", file is %zu bytes)",
+                    i, s.tag, s.offset, s.length, actual_size);
+      return Corrupt(msg);
+    }
+    out->sections.push_back(s);
+  }
+  return Status::OK();
+}
+
+// ---- Section decodes ----------------------------------------------------
+
+StatusOr<SnapshotEpoch> DecodeEpoch(const SnapshotView& file) {
+  const SnapshotView::Section* s = file.Find(kSectionEpoch);
+  if (s == nullptr) return Corrupt("missing epoch section");
+  SnapshotEpoch epoch;
+  ByteReader r(file.SectionData(*s), static_cast<size_t>(s->length));
+  PINUM_RETURN_IF_ERROR(r.U64(&epoch.base_schema_hash, "base schema hash"));
+  PINUM_RETURN_IF_ERROR(r.I32(&epoch.universe, "universe size"));
+  if (epoch.universe < 0) return Corrupt("negative universe size");
+  PINUM_RETURN_IF_ERROR(r.Vec(&epoch.candidate_ids, "candidate ids"));
+  PINUM_RETURN_IF_ERROR(
+      r.U64(&epoch.universe_prefix_hash, "universe prefix hash"));
+  if (!r.AtEnd()) return Corrupt("trailing bytes in epoch section");
+  return epoch;
+}
+
+std::string HashMismatch(const char* what, uint64_t stored,
+                         uint64_t current) {
+  char msg[256];
+  std::snprintf(msg, sizeof(msg),
+                "snapshot epoch mismatch: %s fingerprint is now"
+                " %016" PRIx64 " but the snapshot was sealed under"
+                " %016" PRIx64 "; rebuild the caches and save a fresh"
+                " snapshot",
+                what, current, stored);
+  return msg;
+}
+
+/// The compatibility rule both readers enforce: same base schema, and
+/// the stored candidate vocabulary must be the live one's first N
+/// candidates — equality when nothing grew, a strict prefix when
+/// candidates were appended after the seal (append-only growth keeps
+/// every stored id meaning the same index). Anything else — removed,
+/// reordered, or regenerated candidates — invalidates every sealed
+/// subscript and is kFailedPrecondition.
+Status CheckEpochCompatible(const SnapshotEpoch& stored,
+                            const SnapshotEpoch& expected) {
+  if (stored.base_schema_hash != expected.base_schema_hash) {
+    return Status::FailedPrecondition(
+        HashMismatch("base catalog schema", stored.base_schema_hash,
+                     expected.base_schema_hash));
+  }
+  const size_t stored_count = stored.candidate_ids.size();
+  if (stored_count > expected.candidate_ids.size() ||
+      !std::equal(stored.candidate_ids.begin(), stored.candidate_ids.end(),
+                  expected.candidate_ids.begin())) {
+    char msg[224];
+    std::snprintf(msg, sizeof(msg),
+                  "snapshot epoch mismatch: the snapshot's %zu candidate ids"
+                  " are not a prefix of the live universe's %zu (candidates"
+                  " were removed, reordered, or regenerated); rebuild the"
+                  " caches and save a fresh snapshot",
+                  stored_count, expected.candidate_ids.size());
+    return Status::FailedPrecondition(msg);
+  }
+  if (stored.universe > expected.universe) {
+    char msg[192];
+    std::snprintf(msg, sizeof(msg),
+                  "snapshot epoch mismatch: the snapshot covers %d universe"
+                  " ids but the live universe has only %d; rebuild the caches"
+                  " and save a fresh snapshot",
+                  stored.universe, expected.universe);
+    return Status::FailedPrecondition(msg);
+  }
+  // The prefix's *definitions* must match too (sizes included): verify
+  // the stored final hash against the live chain's entry for that
+  // prefix length.
+  uint64_t live_prefix_hash = 0;
+  if (stored_count == expected.candidate_ids.size()) {
+    live_prefix_hash = expected.universe_prefix_hash;
+  } else if (stored_count < expected.prefix_chain.size()) {
+    live_prefix_hash = expected.prefix_chain[stored_count];
+  } else {
+    return Status::InvalidArgument(
+        "expected epoch lacks the prefix chain needed to verify a"
+        " strict-prefix snapshot (compute it with ComputeSnapshotEpoch)");
+  }
+  if (stored.universe_prefix_hash != live_prefix_hash) {
+    return Status::FailedPrecondition(HashMismatch(
+        "candidate-universe definitions (a candidate's key columns or size"
+        " statistics changed)",
+        stored.universe_prefix_hash, live_prefix_hash));
+  }
+  return Status::OK();
+}
+
+/// Decodes the query-names section into parallel (names, stamps)
+/// vectors. Every count and length is validated against the remaining
+/// bytes before any allocation, so a crafted count yields a Status, not
+/// bad_alloc.
+Status DecodeQueries(const SnapshotView& file, std::vector<std::string>* names,
+                     std::vector<uint64_t>* stamps) {
+  const SnapshotView::Section* queries = file.Find(kSectionQueries);
+  if (queries == nullptr) return Corrupt("missing query-names section");
+  ByteReader r(file.SectionData(*queries),
+               static_cast<size_t>(queries->length));
+  uint32_t count = 0;
+  PINUM_RETURN_IF_ERROR(r.U32(&count, "query count"));
+  // Every entry takes at least its 4-byte length field plus its 8-byte
+  // stamp.
+  if (count > r.Remaining() / 12) {
+    return Corrupt("query count overruns its section");
+  }
+  names->clear();
+  stamps->clear();
+  names->reserve(count);
+  stamps->reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    uint32_t len = 0;
+    PINUM_RETURN_IF_ERROR(r.U32(&len, "query-name length"));
+    if (len > r.Remaining()) {
+      return Corrupt("query name overruns its section");
+    }
+    std::string name(len, '\0');
+    PINUM_RETURN_IF_ERROR(r.Raw(name.data(), len, "query name"));
+    uint64_t stamp = 0;
+    PINUM_RETURN_IF_ERROR(r.U64(&stamp, "query stamp"));
+    names->push_back(std::move(name));
+    stamps->push_back(stamp);
+  }
+  if (!r.AtEnd()) return Corrupt("trailing bytes in query-names section");
+  return Status::OK();
+}
+
+/// One length-framed cache record inside the caches section: an arena
+/// image, viewed in place.
+struct CacheRecord {
+  const char* data = nullptr;
+  size_t size = 0;
+};
+
+/// Frames the caches section's records without decoding them:
+/// u32 count, u32 reserved, u64-count-prefixed u64 lengths, then the
+/// record bytes back-to-back. `expected_count` is the query count — the
+/// two sections must agree. Record *contents* are validated when each
+/// record is bound (SnapshotCodec::View).
+Status SliceCacheRecords(const SnapshotView& file, size_t expected_count,
+                         std::vector<CacheRecord>* out) {
+  const SnapshotView::Section* caches = file.Find(kSectionCaches);
+  if (caches == nullptr) return Corrupt("missing caches section");
+  const char* section = file.SectionData(*caches);
+  ByteReader r(section, static_cast<size_t>(caches->length));
+  uint32_t count = 0;
+  PINUM_RETURN_IF_ERROR(r.U32(&count, "cache count"));
+  if (count != expected_count) {
+    return Corrupt("cache count does not match query count");
+  }
+  uint32_t reserved = 0;
+  PINUM_RETURN_IF_ERROR(r.U32(&reserved, "caches-section reserved field"));
+  if (reserved != 0) return Corrupt("caches-section reserved field is set");
+  std::vector<uint64_t> lengths;
+  PINUM_RETURN_IF_ERROR(r.Vec(&lengths, "cache record lengths"));
+  if (lengths.size() != count) {
+    return Corrupt("cache record-length count does not match cache count");
+  }
+  out->clear();
+  out->reserve(count);
+  size_t at = r.Position();
+  for (uint32_t i = 0; i < count; ++i) {
+    const size_t len = static_cast<size_t>(lengths[i]);
+    if (len > static_cast<size_t>(caches->length) - at) {
+      return Corrupt("cache record " + std::to_string(i) + " overruns its"
+                     " section (" + std::to_string(len) + " bytes declared at"
+                     " section offset " + std::to_string(at) + ", section is " +
+                     std::to_string(caches->length) + " bytes; file offset " +
+                     std::to_string(caches->offset + at) + ")");
+    }
+    out->push_back(CacheRecord{section + at, len});
+    at += len;
+  }
+  if (at != static_cast<size_t>(caches->length)) {
+    return Corrupt("trailing bytes in caches section");
+  }
+  return Status::OK();
+}
+
+/// The one reader body behind LoadSnapshot and MapSnapshot, over the
+/// file's bytes `data[0, size)` wherever they live, with `owner` keeping
+/// them alive: framing, epoch compatibility, the query section and
+/// record slicing, then SnapshotCodec::View per record, so every
+/// returned cache co-owns `owner`. Each record binds exactly its framed
+/// slice: the image's structural validation (SealedCache::ValidateImage)
+/// rejects any record whose contents disagree with its declared length.
+/// A rejection names the record and its file offset — the byte range to
+/// dump when a fleet log reports one bad record among thousands.
+StatusOr<WorkloadSnapshot> ReadSnapshot(const char* data, size_t size,
+                                        std::shared_ptr<const void> owner,
+                                        const std::string& path,
+                                        const SnapshotEpoch& expected) {
+  SnapshotView view;
+  PINUM_RETURN_IF_ERROR(
+      AnnotateFile(ValidateFraming(data, size, &view), path));
+  PINUM_ASSIGN_OR_RETURN(const SnapshotEpoch stored, DecodeEpoch(view));
+  PINUM_RETURN_IF_ERROR(CheckEpochCompatible(stored, expected));
+
+  WorkloadSnapshot snapshot;
+  snapshot.universe = stored.universe;
+  PINUM_RETURN_IF_ERROR(AnnotateFile(
+      DecodeQueries(view, &snapshot.query_names, &snapshot.query_stamps),
+      path));
+  std::vector<CacheRecord> records;
+  PINUM_RETURN_IF_ERROR(AnnotateFile(
+      SliceCacheRecords(view, snapshot.query_names.size(), &records), path));
+  snapshot.sealed.resize(records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    const Status st = SnapshotCodec::View(records[i].data, records[i].size,
+                                          owner, &snapshot.sealed[i]);
+    if (!st.ok()) {
+      return AnnotateFile(
+          Status(st.code(), st.message() + " (cache record " +
+                                std::to_string(i) + " at file offset " +
+                                std::to_string(records[i].data - data) + ")"),
+          path);
+    }
+  }
+  return snapshot;
+}
+
+// ---- Byte sources -------------------------------------------------------
+
+/// A whole snapshot file read into one heap buffer, which every cache
+/// loaded from it shares. new char[] storage is aligned for every
+/// fundamental type, so the buffer start passes View's alignment check
+/// just as a page-aligned mapping base does.
+struct FileBytes {
+  std::shared_ptr<char[]> data;
+  size_t size = 0;
+};
+
+StatusOr<FileBytes> ReadFileBytes(const std::string& path) {
+  {
+    Status injected = FailPoint::Check("snapshot.load.read");
+    if (!injected.ok()) return AnnotateFile(std::move(injected), path);
+  }
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return Status::NotFound("cannot open snapshot " + path);
+  }
+  // Sized from the open handle, not the path, so a save renaming a new
+  // file into place after the open cannot make size and bytes disagree.
+  long long size = -1;
+#ifndef _WIN32
+  struct stat st;
+  if (::fstat(fileno(f), &st) == 0) size = st.st_size;
+#else
+  if (std::fseek(f, 0, SEEK_END) == 0) size = std::ftell(f);
+  std::rewind(f);
+#endif
+  std::shared_ptr<char[]> buffer;
+  size_t got = 0;
+  if (size > 0) {
+    buffer.reset(new char[static_cast<size_t>(size)]);
+    got = std::fread(buffer.get(), 1, static_cast<size_t>(size), f);
+  }
+  const bool read_error = size < 0 || std::ferror(f) != 0;
+  std::fclose(f);
+  if (read_error) {
+    return Status::Internal("I/O error reading snapshot " + path +
+                            " at byte offset " + std::to_string(got));
+  }
+  return FileBytes{std::move(buffer), got};
+}
+
+#ifndef _WIN32
+
+/// RAII wrapper for one read-only MAP_PRIVATE file mapping. The mapped
+/// base is page-aligned, so a file offset's alignment equals the mapped
+/// pointer's alignment — the property the 8-aligned cache records rely
+/// on.
+class MappedFile {
+ public:
+  static StatusOr<std::shared_ptr<const MappedFile>> Open(
+      const std::string& path) {
+    {
+      Status injected = FailPoint::Check("snapshot.mmap.map");
+      if (!injected.ok()) return AnnotateFile(std::move(injected), path);
+    }
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0) {
+      return Status::NotFound("cannot open snapshot " + path);
+    }
+    struct stat st;
+    if (::fstat(fd, &st) != 0) {
+      ::close(fd);
+      return Status::Internal("cannot stat snapshot " + path);
+    }
+    const size_t size = static_cast<size_t>(st.st_size);
+    auto file = std::make_shared<MappedFile>();
+    if (size > 0) {
+      // mmap rejects zero-length maps; an empty file skips straight to
+      // framing validation, which reports the truncation (kOutOfRange).
+      void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+      if (base == MAP_FAILED) {
+        ::close(fd);
+        return Status::Internal("cannot mmap snapshot " + path);
+      }
+      file->base_ = base;
+      file->size_ = size;
+    }
+    // The mapping outlives the descriptor (POSIX keeps mapped pages
+    // valid after close).
+    ::close(fd);
+    return std::shared_ptr<const MappedFile>(std::move(file));
+  }
+
+  MappedFile() = default;
+  MappedFile(const MappedFile&) = delete;
+  MappedFile& operator=(const MappedFile&) = delete;
+  ~MappedFile() {
+    if (base_ != nullptr) ::munmap(base_, size_);
+  }
+
+  const char* data() const { return static_cast<const char*>(base_); }
+  size_t size() const { return size_; }
+
+ private:
+  void* base_ = nullptr;
+  size_t size_ = 0;
+};
+
+#endif  // !_WIN32
+
+// ---- Epoch fingerprints -------------------------------------------------
 
 /// Canonical-serialization hasher for the epoch fingerprints: every
 /// field is folded as fixed-width bytes (doubles as their IEEE-754 bit
@@ -68,8 +687,6 @@ class Fingerprint {
  private:
   uint64_t h_ = kFnvOffset;
 };
-
-// ---- Epoch fingerprints -------------------------------------------------
 
 /// Index definitions include the size statistics (leaf/total pages,
 /// height): the advisor prices index bytes from them, so a size drift
@@ -135,44 +752,6 @@ uint64_t BaseSchemaFingerprint(const CandidateSet& set) {
     }
   }
   return fp.hash();
-}
-
-// ---- Section payloads ---------------------------------------------------
-
-ByteWriter EncodeEpochSection(const SnapshotEpoch& epoch) {
-  ByteWriter w;
-  w.U64(epoch.base_schema_hash);
-  w.I32(epoch.universe);
-  w.Vec(epoch.candidate_ids);
-  w.U64(epoch.universe_prefix_hash);
-  return w;
-}
-
-// ---- Whole-file reading -------------------------------------------------
-
-Status ReadFileBytes(const std::string& path, std::string* out) {
-  {
-    Status injected = FailPoint::Check("snapshot.load.read");
-    if (!injected.ok()) return AnnotateFile(std::move(injected), path);
-  }
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("cannot open snapshot " + path);
-  }
-  std::string bytes;
-  char buf[1 << 16];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.append(buf, got);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::Internal("I/O error reading snapshot " + path +
-                            " at byte offset " + std::to_string(bytes.size()));
-  }
-  *out = std::move(bytes);
-  return Status::OK();
 }
 
 }  // namespace
@@ -294,60 +873,24 @@ uint64_t ComputeQueryStamp(const Query& query, const CandidateSet& set,
   return fp.hash();
 }
 
-namespace {
-
-/// The previous snapshot's cache records, keyed by query name: the
-/// patch source for an incremental save. Holds views into `bytes`.
-struct OldCacheRecords {
-  std::string bytes;  // keeps the viewed records alive
-  struct Record {
-    uint64_t stamp = 0;
-    const char* data = nullptr;
-    size_t size = 0;
-  };
-  std::map<std::string, Record> by_name;
-};
-
-/// Best-effort read of the snapshot currently at `path` for patch
-/// reuse. Any failure — missing file, older version, corruption —
-/// just disables patching; the save then encodes every record fresh.
-OldCacheRecords ReadOldRecords(const std::string& path) {
-  OldCacheRecords old;
-  if (!ReadFileBytes(path, &old.bytes).ok()) return old;
-  SnapshotView view;
-  if (!ValidateFraming(old.bytes.data(), old.bytes.size(), &view).ok()) {
-    return old;
-  }
-  std::vector<std::string> names;
-  std::vector<uint64_t> stamps;
-  if (!DecodeQueries(view, &names, &stamps).ok()) return old;
-  std::vector<CacheRecord> records;
-  if (!SliceCacheRecords(view, names.size(), &records).ok()) return old;
-  for (size_t i = 0; i < names.size(); ++i) {
-    old.by_name.emplace(
-        names[i],
-        OldCacheRecords::Record{stamps[i], records[i].data, records[i].size});
-  }
-  return old;
-}
-
-}  // namespace
-
 Status SaveSnapshot(const std::string& path,
                     const std::vector<std::string>& query_names,
                     const std::vector<uint64_t>& query_stamps,
                     const std::vector<SealedCache>& sealed,
-                    const SnapshotEpoch& epoch,
-                    SnapshotSaveStats* save_stats) {
+                    const SnapshotEpoch& epoch) {
   if (query_names.size() != sealed.size() ||
       query_stamps.size() != sealed.size()) {
     return Status::InvalidArgument(
         "query_names, query_stamps and sealed caches must be parallel"
         " vectors");
   }
-  SnapshotSaveStats stats;
 
-  const ByteWriter epoch_section = EncodeEpochSection(epoch);
+  ByteWriter epoch_section;
+  epoch_section.U64(epoch.base_schema_hash);
+  epoch_section.I32(epoch.universe);
+  epoch_section.Vec(epoch.candidate_ids);
+  epoch_section.U64(epoch.universe_prefix_hash);
+
   ByteWriter queries_section;
   queries_section.U32(static_cast<uint32_t>(query_names.size()));
   for (size_t i = 0; i < query_names.size(); ++i) {
@@ -356,50 +899,22 @@ Status SaveSnapshot(const std::string& path,
     queries_section.U64(query_stamps[i]);
   }
 
-  // Cache records — each one the cache's relocatable arena image,
-  // framed by its byte length so an incremental save can splice
-  // unchanged records from the previous snapshot at this path without
-  // decoding them. The reuse key is (name, stamp, sealed universe): the
-  // stamp fingerprints every input the cache's *costs* are derived
-  // from, and the universe bound — the image's leading u64, peeked
-  // without a decode — pins the array widths, which can differ across
-  // an append-only growth even when costs don't. Together they make a
-  // patched file byte-identical to a from-scratch save of the same
-  // result (images are deterministically packed, padding included).
-  const OldCacheRecords old = ReadOldRecords(path);
-  auto universe_matches = [](const OldCacheRecords::Record& record,
-                             size_t universe) {
-    uint64_t stored = 0;
-    if (record.size < sizeof(stored)) return false;
-    std::memcpy(&stored, record.data, sizeof(stored));
-    return stored == universe;
-  };
-  std::vector<std::string> fresh(sealed.size());
-  std::vector<std::pair<const char*, size_t>> records(sealed.size());
-  for (size_t i = 0; i < sealed.size(); ++i) {
-    const auto it = old.by_name.find(query_names[i]);
-    if (it != old.by_name.end() && it->second.stamp == query_stamps[i] &&
-        universe_matches(it->second, sealed[i].UniverseSize())) {
-      records[i] = {it->second.data, it->second.size};
-      ++stats.caches_patched;
-      continue;
-    }
-    SnapshotCodec::Encode(sealed[i], &fresh[i]);
-    records[i] = {fresh[i].data(), fresh[i].size()};
-    ++stats.caches_encoded;
-  }
+  // Cache records: each cache's arena image copied verbatim, framed by
+  // its byte length so a reader can slice the records without decoding
+  // them.
   ByteWriter caches_section;
   caches_section.U32(static_cast<uint32_t>(sealed.size()));
   caches_section.U32(0);  // reserved; pads the lengths array to 8 bytes
   std::vector<uint64_t> lengths;
-  lengths.reserve(records.size());
-  for (const auto& [data, size] : records) {
-    (void)data;
-    lengths.push_back(size);
+  lengths.reserve(sealed.size());
+  for (const SealedCache& cache : sealed) {
+    lengths.push_back(SnapshotCodec::Image(cache).size());
   }
   caches_section.Vec(lengths);
-  for (const auto& [data, size] : records) caches_section.Raw(data, size);
-  if (save_stats != nullptr) *save_stats = stats;
+  for (const SealedCache& cache : sealed) {
+    const std::string_view image = SnapshotCodec::Image(cache);
+    caches_section.Raw(image.data(), image.size());
+  }
 
   const std::pair<uint32_t, const ByteWriter*> sections[] = {
       {kSectionEpoch, &epoch_section},
@@ -412,8 +927,8 @@ Status SaveSnapshot(const std::string& path,
   // Every section offset is aligned to kArenaAlign with zero padding in
   // between: with the caches section's 16 + 8n-byte preamble and
   // 8-multiple record lengths, that places every arena image at a
-  // file offset that is a multiple of 8 — which is what lets the mapped
-  // reader (page-aligned base) hand out typed views without a copy.
+  // file offset that is a multiple of 8 — which is what lets the readers
+  // bind typed views over an aligned buffer or a page-aligned mapping.
   const uint64_t table_end =
       kHeaderBytes + static_cast<uint64_t>(section_count) * kSectionEntryBytes;
   uint64_t offsets[section_count];
@@ -444,7 +959,7 @@ Status SaveSnapshot(const std::string& path,
   header.U32(section_count);
   header.U32(0);  // reserved
   header.U64(kHeaderBytes + body.size());
-  header.U64(FnvBytes(kFnvOffset, body.bytes().data(), body.size()));
+  header.U64(Checksum(body.bytes().data(), body.size()));
 
   // Write-temp-then-rename, with fsync on both sides of the rename: a
   // failed or interrupted save (full disk, crash mid-write, power cut)
@@ -544,22 +1059,42 @@ Status SaveSnapshot(const std::string& path,
 }
 
 StatusOr<SnapshotEpoch> ReadSnapshotEpoch(const std::string& path) {
-  std::string bytes;
-  PINUM_RETURN_IF_ERROR(ReadFileBytes(path, &bytes));
+  PINUM_ASSIGN_OR_RETURN(const FileBytes file, ReadFileBytes(path));
   SnapshotView view;
   PINUM_RETURN_IF_ERROR(AnnotateFile(
-      ValidateFraming(bytes.data(), bytes.size(), &view), path));
+      ValidateFraming(file.data.get(), file.size, &view), path));
   return DecodeEpoch(view);
 }
 
 StatusOr<WorkloadSnapshot> LoadSnapshot(const std::string& path,
                                         const SnapshotEpoch& expected) {
-  std::string bytes;
-  PINUM_RETURN_IF_ERROR(ReadFileBytes(path, &bytes));
-  return ReadSnapshot(bytes.data(), bytes.size(), path, expected,
-                      [](const char* data, size_t size, SealedCache* out) {
-                        return SnapshotCodec::DecodeOwned(data, size, out);
-                      });
+  PINUM_ASSIGN_OR_RETURN(FileBytes file, ReadFileBytes(path));
+  const char* data = file.data.get();
+  const size_t size = file.size;
+  return ReadSnapshot(data, size, std::move(file.data), path, expected);
 }
+
+#ifndef _WIN32
+
+StatusOr<WorkloadSnapshot> MapSnapshot(const std::string& path,
+                                       const SnapshotEpoch& expected) {
+  PINUM_ASSIGN_OR_RETURN(std::shared_ptr<const MappedFile> file,
+                         MappedFile::Open(path));
+  const char* data = file->data();
+  const size_t size = file->size();
+  return ReadSnapshot(data, size, std::move(file), path, expected);
+}
+
+#else
+
+StatusOr<WorkloadSnapshot> MapSnapshot(const std::string& path,
+                                       const SnapshotEpoch& expected) {
+  (void)path;
+  (void)expected;
+  return Status::Unimplemented(
+      "mapped snapshots require POSIX mmap; use LoadSnapshot");
+}
+
+#endif  // !_WIN32
 
 }  // namespace pinum

@@ -33,7 +33,7 @@
 //
 // Distinct failure paths return distinct codes: kNotFound (missing
 // file), kOutOfRange (truncated), kInvalidArgument (not a snapshot /
-// foreign byte order), kUnimplemented (future format version),
+// foreign byte order), kUnimplemented (older or newer format version),
 // kInternal (corruption), kFailedPrecondition (epoch mismatch).
 #ifndef PINUM_INUM_SNAPSHOT_H_
 #define PINUM_INUM_SNAPSHOT_H_
@@ -51,13 +51,13 @@
 
 namespace pinum {
 
-/// On-disk format version this build writes and the newest it can read.
-/// Version history lives in docs/SNAPSHOT_FORMAT.md. v3's caches
-/// section stores each cache as its relocatable arena image (see
-/// inum/arena.h), 8-aligned in the file, which is what makes the
-/// zero-copy mapped reader (MapSnapshot) possible; older versions are
-/// rejected kUnimplemented, not migrated.
-inline constexpr uint32_t kSnapshotFormatVersion = 3;
+/// On-disk format version this build writes and the only one it reads.
+/// Version history lives in docs/SNAPSHOT_FORMAT.md. The caches section
+/// stores each cache as its relocatable arena image (see inum/arena.h),
+/// 8-aligned in the file, so both readers bind caches in place; v4
+/// checksums the file a u64 word at a time. Older versions are rejected
+/// kUnimplemented, not migrated.
+inline constexpr uint32_t kSnapshotFormatVersion = 4;
 
 /// Fingerprint of the world a snapshot was sealed under. The base
 /// schema hash covers tables, columns, foreign keys, and the real
@@ -134,9 +134,10 @@ uint64_t ComputeTableEpochFingerprint(TableId table, const CandidateSet& set,
 /// and epoch stamps they were sealed under (parallel vectors). A cache
 /// whose stored stamp differs from the live query's stamp is stale —
 /// WorkloadCacheBuilder::StaleQueries computes exactly that set. Both
-/// readers return this type: LoadSnapshot's caches own heap copies of
-/// their records, MapSnapshot's borrow the file mapping, and each
-/// cache's arena pins the bytes it reads, copies included.
+/// readers return this type with every cache bound in place over the
+/// file's bytes: LoadSnapshot's caches share one heap buffer holding the
+/// whole file, MapSnapshot's share the file mapping, and each cache's
+/// arena pins those bytes, copies included.
 struct WorkloadSnapshot {
   std::vector<std::string> query_names;
   std::vector<uint64_t> query_stamps;
@@ -146,31 +147,19 @@ struct WorkloadSnapshot {
   IndexId universe = 0;
 };
 
-/// Accounting for one SaveSnapshot call: how many cache records were
-/// re-serialized vs spliced verbatim from the previous snapshot at the
-/// same path (possible when a query's name and stamp are unchanged —
-/// the incremental-reseal save path re-encodes only resealed queries).
-struct SnapshotSaveStats {
-  size_t caches_encoded = 0;
-  size_t caches_patched = 0;
-};
-
 /// Writes `sealed` (named by the parallel `query_names`, stamped by the
 /// parallel `query_stamps`) and `epoch` to `path` as one self-contained
-/// snapshot file. When a readable same-version snapshot already exists
-/// at `path`, cache records whose (name, stamp) pair it already holds
-/// are patched in verbatim instead of re-encoded — stamps fingerprint
-/// every input a cache is derived from, so an unchanged stamp means
-/// unchanged bytes. The bytes are fully serialized first, written to
-/// `path + ".tmp"`, and renamed into place only on success, so a failed
-/// write (kInternal) never destroys a previously good snapshot at
-/// `path`; on success any existing file is replaced.
+/// snapshot file: every cache record is the given cache's arena image,
+/// whatever the file at `path` held before. The bytes are fully
+/// serialized first, written to `path + ".tmp"`, fsynced, and renamed
+/// into place only on success, so a failed write (kInternal) never
+/// destroys a previously good snapshot at `path`; on success any
+/// existing file is replaced.
 Status SaveSnapshot(const std::string& path,
                     const std::vector<std::string>& query_names,
                     const std::vector<uint64_t>& query_stamps,
                     const std::vector<SealedCache>& sealed,
-                    const SnapshotEpoch& epoch,
-                    SnapshotSaveStats* save_stats = nullptr);
+                    const SnapshotEpoch& epoch);
 
 /// Reads a snapshot back, validating magic, byte order, version, length,
 /// checksum, and structural invariants, then that the stored epoch is
@@ -184,21 +173,23 @@ Status SaveSnapshot(const std::string& path,
 /// stamps and the caller diffs them against live ones (see
 /// WorkloadCacheBuilder::StaleQueries) to decide what to reseal. On
 /// success the returned caches answer every cost question bit-identically
-/// to the caches that were saved.
+/// to the caches that were saved. The file is read once into one heap
+/// buffer, and every returned cache binds in place over it and co-owns
+/// it, so the buffer lives until the last cache (or copy) is destroyed.
 StatusOr<WorkloadSnapshot> LoadSnapshot(const std::string& path,
                                         const SnapshotEpoch& expected);
 
-/// The zero-copy reader: mmaps `path` read-only (MAP_PRIVATE) and runs
-/// LoadSnapshot's checks, in the same order and with the same failure
-/// codes, then binds each cache's views straight into the mapping
-/// instead of copying the records. Every image is structurally
-/// validated, and a misaligned one rejected, before any view is handed
-/// out. Restart cost becomes page faults, and processes mapping one file
-/// share one physical copy of the caches. Each returned cache's arena
-/// co-owns the mapping, so the pages stay mapped until the last cache
-/// (or copy) borrowing them is destroyed — past the file's unlink, and
-/// past a concurrent SaveSnapshot, which replaces the file via
-/// rename(2). kUnimplemented where POSIX mmap is unavailable.
+/// The mapped reader: mmaps `path` read-only (MAP_PRIVATE) instead of
+/// reading it, and runs LoadSnapshot's reader body over the mapping —
+/// same checks, same order, same failure codes, the same in-place bind.
+/// Every image is structurally validated, and a misaligned one rejected,
+/// before any view is handed out. Restart cost skips the file read, and
+/// processes mapping one file share one physical copy of the caches.
+/// Each returned cache's arena co-owns the mapping, so the pages stay
+/// mapped until the last cache (or copy) borrowing them is destroyed —
+/// past the file's unlink, and past a concurrent SaveSnapshot, which
+/// replaces the file via rename(2). kUnimplemented where POSIX mmap is
+/// unavailable.
 StatusOr<WorkloadSnapshot> MapSnapshot(const std::string& path,
                                        const SnapshotEpoch& expected);
 

@@ -1,6 +1,7 @@
 #include "workload/cache_manager.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -250,8 +251,8 @@ uint64_t WorkloadCacheBuilder::QueryStamp(
     const Query& query, std::map<TableId, uint64_t>* table_fp_cache) const {
   // Fold the world-slice stamp with the build shape: two builders bound
   // to one world but building different cache flavours (mode, NLJ
-  // handling, join-space switches) must not treat each other's sealed
-  // bytes as reusable.
+  // handling, any planner knob) must not treat each other's caches as
+  // current.
   uint64_t h =
       ComputeQueryStamp(query, *candidates_, *stats_, table_fp_cache);
   auto fold = [&h](uint64_t v) {
@@ -261,9 +262,20 @@ uint64_t WorkloadCacheBuilder::QueryStamp(
   const PlannerKnobs& knobs = options_.mode == CacheBuildMode::kPinum
                                   ? options_.pinum.base_knobs
                                   : options_.inum.base_knobs;
+  static_assert(sizeof(CostParams) == 6 * sizeof(double) &&
+                    sizeof(PlannerHooks) == 2 * sizeof(bool),
+                "fold every CostParams and PlannerHooks field below");
   fold(knobs.enable_nestloop ? 1 : 0);
   fold(knobs.enable_hashjoin ? 1 : 0);
   fold(knobs.enable_mergejoin ? 1 : 0);
+  for (const double v :
+       {knobs.cost.seq_page_cost, knobs.cost.random_page_cost,
+        knobs.cost.cpu_tuple_cost, knobs.cost.cpu_index_tuple_cost,
+        knobs.cost.cpu_operator_cost, knobs.cost.work_mem_bytes}) {
+    fold(std::bit_cast<uint64_t>(v));
+  }
+  fold(knobs.hooks.export_all_plans ? 1 : 0);
+  fold(knobs.hooks.disable_dominance_pruning ? 1 : 0);
   fold(options_.mode == CacheBuildMode::kPinum
            ? static_cast<uint64_t>(options_.pinum.nlj_extreme_calls) * 2 +
                  (options_.pinum.nlj_export_all ? 1 : 0)
@@ -293,11 +305,9 @@ std::vector<size_t> WorkloadCacheBuilder::StaleQueries(
   return stale;
 }
 
-Status WorkloadCacheBuilder::SaveSnapshot(const std::string& path,
-                                          const WorkloadCacheResult& result,
-                                          const std::vector<Query>& queries,
-                                          SnapshotSaveStats* save_stats)
-    const {
+Status WorkloadCacheBuilder::SaveSnapshot(
+    const std::string& path, const WorkloadCacheResult& result,
+    const std::vector<Query>& queries) const {
   if (result.sealed.size() != queries.size() ||
       result.stamps.size() != queries.size()) {
     return Status::InvalidArgument(
@@ -315,7 +325,7 @@ Status WorkloadCacheBuilder::SaveSnapshot(const std::string& path,
   // happened since the build, which is exactly what StaleQueries must
   // be able to see after a reload.
   return pinum::SaveSnapshot(path, names, result.stamps, result.sealed,
-                             ComputeSnapshotEpoch(*candidates_), save_stats);
+                             ComputeSnapshotEpoch(*candidates_));
 }
 
 StatusOr<WorkloadSnapshot> WorkloadCacheBuilder::LoadSnapshot(

@@ -180,13 +180,15 @@ class WorkloadCacheBuilder {
 
   /// The per-query epoch stamp this builder seals `query` under *right
   /// now*: ComputeQueryStamp over the bound (candidates, stats) folded
-  /// with the build mode and planner switches — everything a rebuilt
-  /// cache's contents are derived from, so equal stamps mean
-  /// cost-identical caches and a drifted stamp means "reseal me".
-  /// BuildAll/RebuildQueries capture these into WorkloadCacheResult::
-  /// stamps at build time; `table_fp_cache`, when given, memoizes
-  /// per-table fingerprints across calls (star workloads touch the
-  /// fact table from every query).
+  /// with the build mode, every PlannerKnobs field of that mode (join
+  /// switches, cost constants, hooks) and its NLJ settings — every input
+  /// of the build this builder can vary, so a drifted stamp means
+  /// "reseal me". The optimizer's own code is not an input: a binary
+  /// whose cost model changed must not serve an older binary's
+  /// snapshot. BuildAll/RebuildQueries capture these into
+  /// WorkloadCacheResult::stamps at build time; `table_fp_cache`, when
+  /// given, memoizes per-table fingerprints across calls (star workloads
+  /// touch the fact table from every query).
   uint64_t QueryStamp(const Query& query,
                       std::map<TableId, uint64_t>* table_fp_cache =
                           nullptr) const;
@@ -210,18 +212,14 @@ class WorkloadCacheBuilder {
 
   /// Persists a build's sealed caches to `path` as one versioned
   /// snapshot file (format: docs/SNAPSHOT_FORMAT.md), carrying the
-  /// universe epoch of this builder's bound candidates plus one
-  /// QueryStamp per query. When `path` already holds a snapshot, cache
-  /// records whose name and stamp are unchanged are patched in verbatim
-  /// instead of re-encoded (the incremental-reseal save path); the file
-  /// is still written whole via tmp+rename. `result.sealed` must be
-  /// parallel to `queries` — pass BuildAll's inputs and output
-  /// unchanged. Per-record patch accounting lands in `save_stats` when
-  /// given.
+  /// universe epoch of this builder's bound candidates plus the stamps
+  /// `result` captured at build time. Every record is written from
+  /// `result.sealed`, whatever `path` held before, via tmp+rename.
+  /// `result.sealed` must be parallel to `queries` — pass BuildAll's
+  /// inputs and output unchanged.
   Status SaveSnapshot(const std::string& path,
                       const WorkloadCacheResult& result,
-                      const std::vector<Query>& queries,
-                      SnapshotSaveStats* save_stats = nullptr) const;
+                      const std::vector<Query>& queries) const;
 
   /// Restores a snapshot into serving-ready sealed caches without any
   /// optimizer call — the restart path. The snapshot must be
@@ -239,11 +237,10 @@ class WorkloadCacheBuilder {
   /// query_names match it, as advisor_tool --load does.
   StatusOr<WorkloadSnapshot> LoadSnapshot(const std::string& path) const;
 
-  /// The zero-copy restart path: MapSnapshot, then ResultFromSnapshot.
+  /// The mapped restart path: MapSnapshot, then ResultFromSnapshot.
   /// The sealed caches' arenas point straight into a read-only mapping
-  /// of the file: no per-element decode, no heap copy of cache bytes.
-  /// Same compatibility rule and failure taxonomy as LoadSnapshot; cost
-  /// answers are bit-identical to the decode path's. Every cache's
+  /// of the file, so not even the file read is paid. Same compatibility
+  /// rule, failure taxonomy and cost bits as LoadSnapshot. Every cache's
   /// arena pins the mapped pages, so the result, and serving
   /// generations copied from it, outlive the file's directory entry
   /// (saves replace via rename).

@@ -219,7 +219,7 @@ TEST_F(SnapshotMmapTest, MissingFileIsNotFound) {
 }
 
 TEST_F(SnapshotMmapTest, TruncationSweepIsOutOfRange) {
-  // The decode path's truncation sweep, pointed at MapSnapshot: every
+  // LoadSnapshot's truncation sweep, pointed at MapSnapshot: every
   // cut — inside the header, the section table, mid-payload, one byte
   // short — must be kOutOfRange with no crash and no view handed out.
   const std::string bytes = SnapshotBytes();
@@ -237,7 +237,7 @@ TEST_F(SnapshotMmapTest, TruncationSweepIsOutOfRange) {
 }
 
 TEST_F(SnapshotMmapTest, PayloadBitFlipsAreInternal) {
-  // The decode path's bit-flip sweep against MapSnapshot: any flipped
+  // LoadSnapshot's bit-flip sweep against MapSnapshot: any flipped
   // payload bit — section table, epoch, arena images — trips the
   // checksum before the bytes are believed.
   const std::string pristine = SnapshotBytes();
@@ -256,10 +256,10 @@ TEST_F(SnapshotMmapTest, PayloadBitFlipsAreInternal) {
 }
 
 TEST_F(SnapshotMmapTest, V2FormatIsUnimplemented) {
-  // Pre-arena formats cannot be mapped (their caches section is a
-  // per-field encoding); v2 and v1 both come back kUnimplemented, on
-  // the version field alone.
-  for (uint32_t old_version : {uint32_t{2}, uint32_t{1}}) {
+  // Older formats cannot be mapped (v3's checksum is byte-wise, v2's
+  // caches section a per-field encoding); v3, v2 and v1 all come back
+  // kUnimplemented, on the version field alone.
+  for (uint32_t old_version : {uint32_t{3}, uint32_t{2}, uint32_t{1}}) {
     std::string bytes = SnapshotBytes();
     std::memcpy(bytes.data() + 12, &old_version, sizeof(old_version));
     const std::string path = TempPath("old.snap");
@@ -285,7 +285,7 @@ TEST_F(SnapshotMmapTest, FutureFormatIsUnimplemented) {
 }
 
 TEST_F(SnapshotMmapTest, EpochMismatchIsFailedPrecondition) {
-  // Same compatibility rule as the decode path: a permuted candidate
+  // Same compatibility rule as LoadSnapshot: a permuted candidate
   // vocabulary is not a prefix of the live chain.
   SnapshotEpoch permuted = LiveEpoch();
   ASSERT_GE(permuted.candidate_ids.size(), 2u);

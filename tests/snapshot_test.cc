@@ -18,6 +18,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "advisor/candidate_generator.h"
@@ -47,14 +48,23 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(out.good()) << path;
 }
 
-/// Recomputes the header checksum (spec: FNV-1a over [40, EOF)) so a
-/// crafted payload is what the reader actually trips on — the checksum
-/// is unkeyed, so a crafted file can always carry a valid one.
+/// Recomputes the header checksum as docs/SNAPSHOT_FORMAT.md defines it
+/// — the FNV-1a step over native u64 words of [40, EOF), h = (h ^ w) *
+/// prime, then any trailing bytes one at a time — so a crafted payload
+/// is what the reader actually trips on: the checksum is unkeyed, so a
+/// crafted file can always carry a valid one.
 void Rechecksum(std::string* bytes) {
+  const uint64_t prime = 1099511628211ULL;
   uint64_t h = 14695981039346656037ULL;
-  for (size_t i = 40; i < bytes->size(); ++i) {
+  size_t i = 40;
+  for (; i + 8 <= bytes->size(); i += 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, bytes->data() + i, 8);
+    h = (h ^ word) * prime;
+  }
+  for (; i < bytes->size(); ++i) {
     h ^= static_cast<unsigned char>((*bytes)[i]);
-    h *= 1099511628211ULL;
+    h *= prime;
   }
   std::memcpy(bytes->data() + 32, &h, 8);
 }
@@ -127,14 +137,9 @@ class SnapshotTest : public ::testing::Test {
     auto built = fix_->builder->BuildAll(fix_->star->queries());
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     fix_->built = std::move(*built);
-    SnapshotSaveStats save_stats;
     Status st = fix_->builder->SaveSnapshot(fix_->path, fix_->built,
-                                            fix_->star->queries(),
-                                            &save_stats);
+                                            fix_->star->queries());
     ASSERT_TRUE(st.ok()) << st.ToString();
-    // First save at this path: nothing to patch from.
-    ASSERT_EQ(save_stats.caches_encoded, fix_->star->queries().size());
-    ASSERT_EQ(save_stats.caches_patched, 0u);
   }
   static void TearDownTestSuite() {
     std::remove(fix_->path.c_str());
@@ -147,9 +152,9 @@ class SnapshotTest : public ::testing::Test {
 
   /// Test-file paths embed the pid: ctest -j runs every TEST as its
   /// own process, and each process re-runs SetUpTestSuite — two
-  /// concurrent shards sharing one literal path race on the suite
-  /// snapshot (the second shard's "first save" finds the first
-  /// shard's identical file and patches instead of encoding).
+  /// concurrent shards sharing one literal path would race on the suite
+  /// snapshot (one shard's TearDownTestSuite removing the file another
+  /// is still reading).
   static std::string TempPath(const std::string& name) {
     return ::testing::TempDir() + std::to_string(getpid()) + "_" + name;
   }
@@ -445,9 +450,10 @@ TEST_F(SnapshotTest, CandidateVocabularyDriftIsFailedPrecondition) {
 
 TEST_F(SnapshotTest, IncrementalSavePatchesOnlyResealedSections) {
   // The incremental-reseal save path: after drifting and resealing k
-  // queries, re-saving over the old snapshot re-encodes exactly those k
-  // records and splices the other N-k verbatim — and the patched file
-  // is byte-identical to a from-scratch save of the same state.
+  // queries, re-saving over the old snapshot yields a file
+  // byte-identical to a save of the same state at a fresh path (a save
+  // writes the caches it is given, whatever the path held), and it
+  // round-trips into the resealed serving state.
   const std::vector<Query>& queries = fix_->star->queries();
   CandidateSet set = fix_->star->set;
   StatsCatalog stats = fix_->star->stats();
@@ -455,12 +461,8 @@ TEST_F(SnapshotTest, IncrementalSavePatchesOnlyResealedSections) {
   auto built = builder.BuildAll(queries);
   ASSERT_TRUE(built.ok());
 
-  const std::string patched_path = TempPath("patched.snap");
-  SnapshotSaveStats first;
-  ASSERT_TRUE(
-      builder.SaveSnapshot(patched_path, *built, queries, &first).ok());
-  EXPECT_EQ(first.caches_encoded, queries.size());
-  EXPECT_EQ(first.caches_patched, 0u);
+  const std::string resaved_path = TempPath("resaved.snap");
+  ASSERT_TRUE(builder.SaveSnapshot(resaved_path, *built, queries).ok());
 
   auto drift = ApplyDrift(queries, &set, &stats, 1, 503);
   ASSERT_TRUE(drift.ok());
@@ -470,21 +472,14 @@ TEST_F(SnapshotTest, IncrementalSavePatchesOnlyResealedSections) {
   ASSERT_TRUE(
       builder.RebuildQueries(drift->stale_queries, queries, &*built).ok());
 
-  SnapshotSaveStats second;
-  ASSERT_TRUE(
-      builder.SaveSnapshot(patched_path, *built, queries, &second).ok());
-  EXPECT_EQ(second.caches_encoded, k);
-  EXPECT_EQ(second.caches_patched, queries.size() - k);
+  ASSERT_TRUE(builder.SaveSnapshot(resaved_path, *built, queries).ok());
 
   const std::string fresh_path = TempPath("fresh.snap");
-  SnapshotSaveStats fresh;
-  ASSERT_TRUE(
-      builder.SaveSnapshot(fresh_path, *built, queries, &fresh).ok());
-  EXPECT_EQ(fresh.caches_encoded, queries.size());
-  EXPECT_EQ(ReadFile(patched_path), ReadFile(fresh_path));
+  ASSERT_TRUE(builder.SaveSnapshot(fresh_path, *built, queries).ok());
+  EXPECT_EQ(ReadFile(resaved_path), ReadFile(fresh_path));
 
-  // And the patched file round-trips into the resealed serving state.
-  auto loaded = builder.LoadSnapshot(patched_path);
+  // And the re-saved file round-trips into the resealed serving state.
+  auto loaded = builder.LoadSnapshot(resaved_path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(builder.StaleQueries(*loaded, queries).empty());
   Rng rng(509);
@@ -493,7 +488,7 @@ TEST_F(SnapshotTest, IncrementalSavePatchesOnlyResealedSections) {
     EXPECT_EQ(loaded->sealed[qi].Cost(config), built->sealed[qi].Cost(config))
         << "query " << qi;
   }
-  std::remove(patched_path.c_str());
+  std::remove(resaved_path.c_str());
   std::remove(fresh_path.c_str());
 }
 
@@ -526,10 +521,9 @@ TEST_F(SnapshotTest, DriftBetweenBuildAndSaveStillReadsAsStale) {
 }
 
 TEST_F(SnapshotTest, GrowthReEncodesWidenedRecordsOnSave) {
-  // The splice key includes the sealed universe bound: after an append
-  // plus a cold rebuild, even never-stale queries' caches widened, so
-  // their old (narrower) records must be re-encoded, keeping the
-  // patched file byte-identical to a from-scratch save.
+  // After an append plus a cold rebuild, even never-stale queries'
+  // caches widened, so a re-save over the old snapshot must carry the
+  // wider records: byte-identical to a save at a fresh path.
   const std::vector<Query>& queries = fix_->star->queries();
   CandidateSet set = fix_->star->set;
   StatsCatalog stats = fix_->star->stats();
@@ -547,11 +541,7 @@ TEST_F(SnapshotTest, GrowthReEncodesWidenedRecordsOnSave) {
   auto cold = builder.BuildAll(queries);
   ASSERT_TRUE(cold.ok());
 
-  SnapshotSaveStats save_stats;
-  ASSERT_TRUE(
-      builder.SaveSnapshot(path, *cold, queries, &save_stats).ok());
-  EXPECT_EQ(save_stats.caches_patched, 0u);
-  EXPECT_EQ(save_stats.caches_encoded, queries.size());
+  ASSERT_TRUE(builder.SaveSnapshot(path, *cold, queries).ok());
 
   const std::string fresh_path = TempPath("growth_fresh.snap");
   ASSERT_TRUE(builder.SaveSnapshot(fresh_path, *cold, queries).ok());
@@ -561,14 +551,17 @@ TEST_F(SnapshotTest, GrowthReEncodesWidenedRecordsOnSave) {
 }
 
 TEST_F(SnapshotTest, OldFormatVersionIsUnimplemented) {
-  // Pre-arena formats — v2's per-field cache encoding, v1's global
-  // epoch without per-query stamps — have nothing safely reusable; they
-  // must be rejected on the version field alone, loudly and distinctly.
-  for (uint32_t old_version : {uint32_t{2}, uint32_t{1}}) {
+  // Older formats — v3's byte-wise checksum, v2's per-field cache
+  // encoding, v1's global epoch without per-query stamps — are not
+  // migrated; they must be rejected on the version field alone, loudly
+  // and distinctly, with the reason in the message.
+  const std::pair<uint32_t, const char*> old_versions[] = {
+      {3, "checksum"}, {2, "arena"}, {1, "stamps"}};
+  for (const auto& [old_version, reason] : old_versions) {
     SCOPED_TRACE("version " + std::to_string(old_version));
     std::string bytes = SnapshotBytes();
     std::memcpy(bytes.data() + 12, &old_version, sizeof(old_version));
-    ExpectRejected(bytes, StatusCode::kUnimplemented);
+    ExpectRejected(bytes, StatusCode::kUnimplemented, reason);
   }
 }
 
@@ -635,6 +628,121 @@ TEST_F(SnapshotTest, IndexSizeDriftIsFailedPrecondition) {
   def->leaf_pages += 1;
   ExpectRejectedAt(fix_->path, ComputeSnapshotEpoch(resized),
                    StatusCode::kFailedPrecondition, "candidate");
+}
+
+TEST_F(SnapshotTest, CostModelChangeStalesEveryQuery) {
+  // Every planner knob shapes the caches a build seals, so a builder
+  // whose cost constants or hooks differ from the saving builder's must
+  // find every stored cache stale: a restart must never serve caches
+  // priced under another cost model.
+  const std::vector<Query>& queries = fix_->star->queries();
+  auto loaded = fix_->builder->LoadSnapshot(fix_->path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(fix_->builder->StaleQueries(*loaded, queries).empty());
+  std::vector<size_t> every(queries.size());
+  for (size_t i = 0; i < every.size(); ++i) every[i] = i;
+
+  const std::pair<const char*, void (*)(PlannerKnobs*)> changes[] = {
+      {"random_page_cost",
+       [](PlannerKnobs* k) { k->cost.random_page_cost = 4.5; }},
+      {"work_mem_bytes",
+       [](PlannerKnobs* k) { k->cost.work_mem_bytes *= 2; }},
+      {"hooks.disable_dominance_pruning",
+       [](PlannerKnobs* k) { k->hooks.disable_dominance_pruning = true; }},
+  };
+  for (const auto& [name, change] : changes) {
+    SCOPED_TRACE(name);
+    WorkloadCacheOptions options;
+    change(&options.pinum.base_knobs);
+    WorkloadCacheBuilder changed(&fix_->star->catalog(), &fix_->star->set,
+                                 &fix_->star->stats(), options);
+    EXPECT_EQ(changed.StaleQueries(*loaded, queries), every);
+  }
+}
+
+TEST_F(SnapshotTest, SaveWritesTheCachesItIsGiven) {
+  // A save writes the caches it is handed, never the previous file's
+  // records. Swap two queries' caches but not their stamps, so every
+  // name, stamp and universe still matches the file already at the
+  // path; after saving over it, each reloaded cache must price like the
+  // in-memory one at its position.
+  const std::vector<Query>& queries = fix_->star->queries();
+  const std::string path = TempPath("given.snap");
+  WorkloadCacheResult result = fix_->built;
+  ASSERT_TRUE(fix_->builder->SaveSnapshot(path, result, queries).ok());
+  ASSERT_GE(result.sealed.size(), 2u);
+  // The swap must be visible to a pricing question.
+  ASSERT_NE(result.sealed[0].Cost({}), result.sealed[1].Cost({}));
+  std::swap(result.sealed[0], result.sealed[1]);
+  ASSERT_TRUE(fix_->builder->SaveSnapshot(path, result, queries).ok());
+
+  auto loaded = fix_->builder->LoadSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->sealed.size(), result.sealed.size());
+  Rng rng(709);
+  for (size_t qi = 0; qi < result.sealed.size(); ++qi) {
+    const SealedCache& given = result.sealed[qi];
+    const SealedCache& restored = loaded->sealed[qi];
+    EXPECT_EQ(restored.ArenaBytes(), given.ArenaBytes()) << "query " << qi;
+    EXPECT_EQ(restored.Cost({}), given.Cost({})) << "query " << qi;
+    for (int trial = 0; trial < 10; ++trial) {
+      const IndexConfig config =
+          RandomSubsetConfig(fix_->star->set, &rng, 0.3);
+      EXPECT_EQ(restored.Cost(config), given.Cost(config))
+          << "query " << qi << " trial " << trial;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(SnapshotTest, LoadedCachesOutliveSnapshotAndFile) {
+  // LoadSnapshot's twin of SnapshotMmapTest.MappedCachesOutliveHandleAndFile:
+  // every loaded cache binds in place over one heap buffer holding the
+  // file, so a cache copied out keeps serving after (1) the snapshot
+  // that produced it is destroyed and (2) the file is unlinked — its
+  // arena's owner handle alone keeps the buffer alive.
+  const std::string path = TempPath("outlive.snap");
+  WriteFile(path, SnapshotBytes());
+  SealedCache survivor;
+  {
+    auto loaded = LoadSnapshot(path, LiveEpoch());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    survivor = loaded->sealed.back();
+    std::remove(path.c_str());
+  }
+  const SealedCache& original = fix_->built.sealed.back();
+  EXPECT_EQ(survivor.ArenaBytes(), original.ArenaBytes());
+  Rng rng(719);
+  EXPECT_EQ(survivor.Cost({}), original.Cost({}));
+  for (int trial = 0; trial < 10; ++trial) {
+    const IndexConfig config = RandomAtomicConfig(
+        fix_->star->queries().back(), fix_->star->set, &rng);
+    EXPECT_EQ(survivor.Cost(config), original.Cost(config));
+  }
+}
+
+TEST_F(SnapshotTest, WriterFollowsTheSpec) {
+  // snapshot.h keeps docs/SNAPSHOT_FORMAT.md and the code in lockstep
+  // through kSnapshotFormatVersion: the spec's title must name the
+  // version the writer stamps, and the checksum written from the spec
+  // (Rechecksum) must reproduce a freshly saved file byte for byte.
+  std::ifstream spec(std::string(PINUM_SOURCE_DIR) +
+                     "/docs/SNAPSHOT_FORMAT.md");
+  ASSERT_TRUE(spec.good());
+  std::string title;
+  std::getline(spec, title);
+  EXPECT_TRUE(title.ends_with(", version " +
+                              std::to_string(kSnapshotFormatVersion)))
+      << title;
+
+  const std::string saved = SnapshotBytes();
+  uint32_t version = 0;
+  std::memcpy(&version, saved.data() + 12, sizeof(version));
+  EXPECT_EQ(version, kSnapshotFormatVersion);
+  std::string rewritten = saved;
+  std::memset(rewritten.data() + 32, 0, 8);
+  Rechecksum(&rewritten);
+  EXPECT_EQ(rewritten, saved);
 }
 
 // Every workload family (src/workload/workload_family.h) round-trips
