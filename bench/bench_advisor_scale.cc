@@ -16,8 +16,6 @@
 // any divergence. --min-speedup X additionally fails the run when the
 // delta path's speedup over the batched path drops below X.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "advisor/greedy_advisor.h"
@@ -29,44 +27,11 @@
 namespace pinum {
 namespace {
 
-/// Exact equality of every field the advisor reports. Costs and
-/// benefits are doubles compared with ==: the delta path's contract is
-/// bit-identical pricing, not approximate agreement.
-bool SameResult(const AdvisorResult& a, const AdvisorResult& b,
-                std::string* why) {
-  auto fail = [&](const std::string& reason) {
-    *why = reason;
-    return false;
-  };
-  if (a.chosen != b.chosen) return fail("chosen index sets differ");
-  if (a.steps.size() != b.steps.size()) return fail("step counts differ");
-  for (size_t i = 0; i < a.steps.size(); ++i) {
-    if (a.steps[i].chosen != b.steps[i].chosen ||
-        a.steps[i].benefit != b.steps[i].benefit ||
-        a.steps[i].size_bytes != b.steps[i].size_bytes ||
-        a.steps[i].workload_cost_after != b.steps[i].workload_cost_after) {
-      return fail("step " + std::to_string(i) + " differs");
-    }
-  }
-  if (a.workload_cost_before != b.workload_cost_before ||
-      a.workload_cost_after != b.workload_cost_after) {
-    return fail("workload costs differ");
-  }
-  if (a.total_size_bytes != b.total_size_bytes) {
-    return fail("total sizes differ");
-  }
-  if (a.evaluations != b.evaluations) return fail("evaluation counts differ");
-  // full_evaluations is deliberately NOT compared: it counts full-path
-  // resolutions, which is exactly what differs between the two paths
-  // (src/advisor/greedy_advisor.h).
-  return true;
-}
-
 int Run(int replicas, bool smoke, const std::string& json_path,
         double min_speedup) {
   auto setup = bench::MakeServingSetup(replicas);
   if (setup == nullptr) return 1;
-  CandidateSet& set = setup->set;
+  CandidateSet& set = setup->world->set;
   const std::vector<Query>& queries = setup->queries;
   WorkloadCacheBuilder& builder = *setup->builder;
   WorkloadCacheResult* built = &setup->built;
@@ -121,7 +86,7 @@ int Run(int replicas, bool smoke, const std::string& json_path,
   const double delta_ms = measure(delta_opts, &delta);
 
   std::string why;
-  if (!SameResult(batched, delta, &why)) {
+  if (!bench::SameAdvice(batched, delta, &why)) {
     std::fprintf(stderr, "FAIL: delta path diverges from batched path: %s\n",
                  why.c_str());
     return 1;
@@ -174,35 +139,16 @@ int Run(int replicas, bool smoke, const std::string& json_path,
     if (!summary.WriteTo(json_path)) return 1;
   }
 
-  if (min_speedup > 0 && speedup < min_speedup) {
-    std::fprintf(stderr,
-                 "FAIL: delta speedup %.2fx below the %.2fx floor\n",
-                 speedup, min_speedup);
-    return 1;
-  }
-  return 0;
+  return bench::MeetsFloor("delta speedup", speedup, min_speedup) ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace pinum
 
 int main(int argc, char** argv) {
-  int replicas = -1;  // unspecified: 3x, or 1x under --smoke
-  bool smoke = false;
-  std::string json_path;
-  double min_speedup = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
-      min_speedup = std::atof(argv[++i]);
-    } else {
-      replicas = std::atoi(argv[i]);
-      if (replicas < 1) replicas = 1;
-    }
-  }
-  if (replicas < 0) replicas = smoke ? 1 : 3;
-  return pinum::Run(replicas, smoke, json_path, min_speedup);
+  pinum::bench::BenchFlags flags;
+  const auto& spec = pinum::bench::kAdvisorScaleFlags;
+  if (!pinum::bench::ParseBenchFlags(argc, argv, spec, &flags)) return 2;
+  return pinum::Run(flags.replicas, flags.smoke, flags.json_path,
+                    flags.floors.at("--min-speedup"));
 }

@@ -18,8 +18,6 @@
 // equal-wall-clock ratio drops below X (CI pins 1.0: search must never
 // lose to greedy).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -165,15 +163,13 @@ int Run(bool smoke, const std::string& json_path, double min_quality) {
   std::printf("%-12s %10s %12s %12s %8s %12s %8s %6s\n", "family",
               "greedy-ms", "greedy-cost", "equal-cost", "ratio",
               "full-cost", "ratio", "swaps");
-  bool below_floor = false;
+  double worst_ratio = rows.front().equal_ratio;
   for (const FamilyRow& row : rows) {
     std::printf("%-12s %10.1f %12.6g %12.6g %8.4f %12.6g %8.4f %6lld\n",
                 row.family.c_str(), row.greedy_ms, row.greedy_cost,
                 row.equal_cost, row.equal_ratio, row.full_cost,
                 row.full_ratio, static_cast<long long>(row.swaps_accepted));
-    if (min_quality > 0 && row.equal_ratio < min_quality) {
-      below_floor = true;
-    }
+    worst_ratio = std::min(worst_ratio, row.equal_ratio);
   }
 
   if (!json_path.empty()) {
@@ -196,35 +192,18 @@ int Run(bool smoke, const std::string& json_path, double min_quality) {
     if (!summary.WriteTo(json_path)) return 1;
   }
 
-  if (below_floor) {
-    std::fprintf(stderr,
-                 "FAIL: equal-wall-clock quality ratio below the %.2f "
-                 "floor\n",
-                 min_quality);
-    return 1;
-  }
-  return 0;
+  const bool met = bench::MeetsFloor("equal-wall-clock quality ratio",
+                                     worst_ratio, min_quality);
+  return met ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace pinum
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path;
-  double min_quality = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--min-quality-ratio") == 0 &&
-               i + 1 < argc) {
-      min_quality = std::atof(argv[++i]);
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 2;
-    }
-  }
-  return pinum::Run(smoke, json_path, min_quality);
+  pinum::bench::BenchFlags flags;
+  const auto& spec = pinum::bench::kAdvisorSearchFlags;
+  if (!pinum::bench::ParseBenchFlags(argc, argv, spec, &flags)) return 2;
+  return pinum::Run(flags.smoke, flags.json_path,
+                    flags.floors.at("--min-quality-ratio"));
 }

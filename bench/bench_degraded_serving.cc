@@ -19,8 +19,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -89,9 +87,10 @@ int Run(int replicas, bool smoke, const std::string& json_path,
   auto setup = bench::MakeServingSetup(replicas);
   if (setup == nullptr) return 1;
   const std::vector<Query>& queries = setup->queries;
+  CandidateSet& set = setup->world->set;
   std::printf("# degraded serving: %zu queries (%dx replication), "
               "%zu candidates, fault seed %llu\n",
-              queries.size(), replicas, setup->set.candidate_ids.size(),
+              queries.size(), replicas, set.candidate_ids.size(),
               static_cast<unsigned long long>(seed));
 
   ServingOptions options;
@@ -107,7 +106,7 @@ int Run(int replicas, bool smoke, const std::string& json_path,
   const int num_configs = smoke ? 8 : 24;
   for (int i = 0; i < num_configs; ++i) {
     configs.push_back(bench::RandomAtomicConfig(
-        queries[static_cast<size_t>(i) % queries.size()], setup->set, &rng));
+        queries[static_cast<size_t>(i) % queries.size()], set, &rng));
   }
   const int iters = smoke ? 200 : 2000;
 
@@ -130,8 +129,8 @@ int Run(int replicas, bool smoke, const std::string& json_path,
     // through WithWorld to serialize against its stamp reads.
     Status drift_status;
     engine.WithWorld([&] {
-      auto drift = ApplyDrift(queries, &setup->set,
-                              &setup->workload.db().stats(),
+      auto drift = ApplyDrift(queries, &set,
+                              &setup->world->mutable_stats(),
                               queries.size(), seed);
       drift_status = drift.ok() ? Status::OK() : drift.status();
     });
@@ -178,22 +177,8 @@ int Run(int replicas, bool smoke, const std::string& json_path,
   }
 
   // Recovered generation == cold rebuild under the drifted world.
-  {
-    WorkloadCacheBuilder cold(&setup->workload.db().catalog(), &setup->set,
-                              &setup->workload.db().stats());
-    auto cold_built = cold.BuildAll(queries);
-    if (!cold_built.ok()) {
-      std::fprintf(stderr, "%s\n", cold_built.status().ToString().c_str());
-      return 1;
-    }
-    WorkloadCostEvaluator cold_eval(&cold_built->sealed);
-    for (size_t i = 0; i < configs.size(); ++i) {
-      if (engine.Cost(configs[i]).cost != cold_eval.Cost(configs[i])) {
-        std::fprintf(stderr, "FAIL: recovered generation diverges from"
-                     " cold rebuild on config %zu\n", i);
-        return 1;
-      }
-    }
+  if (!bench::ServesColdRebuild(engine, *setup, configs, "recovered")) {
+    return 1;
   }
 
   const ServingStats stats = engine.Stats();
@@ -247,39 +232,18 @@ int Run(int replicas, bool smoke, const std::string& json_path,
     if (!summary.WriteTo(json_path)) return 1;
   }
 
-  if (min_ratio > 0 && degraded_ratio < min_ratio) {
-    std::fprintf(stderr,
-                 "FAIL: degraded throughput %.2fx of healthy, below the "
-                 "%.2fx floor\n",
-                 degraded_ratio, min_ratio);
-    return 1;
-  }
-  return 0;
+  const bool met = bench::MeetsFloor("degraded/healthy throughput",
+                                     degraded_ratio, min_ratio);
+  return met ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace pinum
 
 int main(int argc, char** argv) {
-  int replicas = -1;  // unspecified: 3x, or 1x under --smoke
-  bool smoke = false;
-  std::string json_path;
-  double min_ratio = 0;
-  uint64_t seed = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--min-ratio") == 0 && i + 1 < argc) {
-      min_ratio = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else {
-      replicas = std::atoi(argv[i]);
-      if (replicas < 1) replicas = 1;
-    }
-  }
-  if (replicas < 0) replicas = smoke ? 1 : 3;
-  return pinum::Run(replicas, smoke, json_path, min_ratio, seed);
+  pinum::bench::BenchFlags flags;
+  const auto& spec = pinum::bench::kDegradedServingFlags;
+  if (!pinum::bench::ParseBenchFlags(argc, argv, spec, &flags)) return 2;
+  return pinum::Run(flags.replicas, flags.smoke, flags.json_path,
+                    flags.floors.at("--min-ratio"), flags.seed);
 }

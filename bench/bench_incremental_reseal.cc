@@ -18,8 +18,6 @@
 // src/workload/drift.h and targets the smallest stale set the workload
 // topology allows (k=1 query template before replication).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "advisor/greedy_advisor.h"
@@ -36,18 +34,19 @@ int Run(int replicas, bool smoke, const std::string& json_path,
   auto setup = bench::MakeServingSetup(replicas);
   if (setup == nullptr) return 1;
   const std::vector<Query>& queries = setup->queries;
+  CandidateSet& set = setup->world->set;
   const size_t n = queries.size();
   std::printf("# incremental reseal: %zu queries (%dx replication), "
               "%zu candidates, drift seed %llu\n",
-              n, replicas, setup->set.candidate_ids.size(),
+              n, replicas, set.candidate_ids.size(),
               static_cast<unsigned long long>(seed));
   const int64_t cold_calls = setup->built.totals.plan_cache_calls +
                              setup->built.totals.access_cost_calls;
 
   // Seeded drift targeting the smallest stale set the topology allows
   // (one query template; replication multiplies it by R).
-  auto drift = ApplyDrift(queries, &setup->set,
-                          &setup->workload.db().stats(), 1, seed);
+  auto drift =
+      ApplyDrift(queries, &set, &setup->world->mutable_stats(), 1, seed);
   if (!drift.ok()) {
     std::fprintf(stderr, "%s\n", drift.status().ToString().c_str());
     return 1;
@@ -74,9 +73,8 @@ int Run(int replicas, bool smoke, const std::string& json_path,
 
   // Cold path: what a drift costs without incremental reseal — a fresh
   // builder re-paying every query's optimizer calls.
-  WorkloadCacheBuilder cold_builder(&setup->workload.db().catalog(),
-                                    &setup->set,
-                                    &setup->workload.db().stats());
+  WorkloadCacheBuilder cold_builder(&setup->world->catalog(), &set,
+                                    &setup->world->stats());
   Stopwatch cold_timer;
   auto cold = cold_builder.BuildAll(queries);
   const double cold_ms = cold_timer.ElapsedMillis();
@@ -93,7 +91,7 @@ int Run(int replicas, bool smoke, const std::string& json_path,
   for (size_t qi = 0; qi < n; ++qi) {
     for (int t = 0; t < trials; ++t) {
       const IndexConfig config =
-          bench::RandomAtomicConfig(queries[qi], setup->set, &rng);
+          bench::RandomAtomicConfig(queries[qi], set, &rng);
       const double incremental = setup->built.sealed[qi].Cost(config);
       const double from_cold = cold->sealed[qi].Cost(config);
       if (incremental != from_cold) {
@@ -110,20 +108,15 @@ int Run(int replicas, bool smoke, const std::string& json_path,
   // Identity guard 2: the full greedy advisor, field for field.
   AdvisorOptions aopts;
   const AdvisorResult incremental_advice =
-      RunGreedyAdvisor(setup->built.sealed, setup->set, aopts);
+      RunGreedyAdvisor(setup->built.sealed, set, aopts);
   const AdvisorResult cold_advice =
-      RunGreedyAdvisor(cold->sealed, setup->set, aopts);
-  if (incremental_advice.chosen != cold_advice.chosen ||
-      incremental_advice.workload_cost_before !=
-          cold_advice.workload_cost_before ||
-      incremental_advice.workload_cost_after !=
-          cold_advice.workload_cost_after ||
-      incremental_advice.total_size_bytes != cold_advice.total_size_bytes ||
-      incremental_advice.evaluations != cold_advice.evaluations) {
+      RunGreedyAdvisor(cold->sealed, set, aopts);
+  std::string why;
+  if (!bench::SameAdvice(incremental_advice, cold_advice, &why)) {
     std::fprintf(stderr,
                  "FAIL: advisor output from incrementally resealed caches"
-                 " diverges (seed %llu)\n",
-                 static_cast<unsigned long long>(seed));
+                 " diverges: %s (seed %llu)\n",
+                 why.c_str(), static_cast<unsigned long long>(seed));
     return 1;
   }
 
@@ -149,7 +142,7 @@ int Run(int replicas, bool smoke, const std::string& json_path,
     summary.Set("queries", static_cast<int64_t>(n));
     summary.Set("stale_queries", static_cast<int64_t>(k));
     summary.Set("candidates",
-                static_cast<int64_t>(setup->set.candidate_ids.size()));
+                static_cast<int64_t>(set.candidate_ids.size()));
     summary.Set("drift_seed", static_cast<int64_t>(seed));
     summary.Set("cold_rebuild_ms", cold_ms);
     summary.Set("cold_rebuild_calls", cold_rebuild_calls);
@@ -163,39 +156,18 @@ int Run(int replicas, bool smoke, const std::string& json_path,
     if (!summary.WriteTo(json_path)) return 1;
   }
 
-  if (min_speedup > 0 && speedup < min_speedup) {
-    std::fprintf(stderr,
-                 "FAIL: incremental reseal speedup %.1fx below the %.1fx"
-                 " floor\n",
-                 speedup, min_speedup);
-    return 1;
-  }
-  return 0;
+  const bool met =
+      bench::MeetsFloor("incremental reseal speedup", speedup, min_speedup);
+  return met ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace pinum
 
 int main(int argc, char** argv) {
-  int replicas = -1;  // unspecified: 3x, or 1x under --smoke
-  bool smoke = false;
-  std::string json_path;
-  double min_speedup = 0;
-  uint64_t seed = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
-      min_speedup = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else {
-      replicas = std::atoi(argv[i]);
-      if (replicas < 1) replicas = 1;
-    }
-  }
-  if (replicas < 0) replicas = smoke ? 1 : 3;
-  return pinum::Run(replicas, smoke, json_path, min_speedup, seed);
+  pinum::bench::BenchFlags flags;
+  const auto& spec = pinum::bench::kIncrementalResealFlags;
+  if (!pinum::bench::ParseBenchFlags(argc, argv, spec, &flags)) return 2;
+  return pinum::Run(flags.replicas, flags.smoke, flags.json_path,
+                    flags.floors.at("--min-speedup"), flags.seed);
 }

@@ -21,8 +21,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,43 +58,15 @@ ServeStats ServeUntil(const ServingEngine& engine,
   return stats;
 }
 
-/// Bitwise identity guard: the engine's current generation vs a cold
-/// rebuild under the (drifted) world the builder is bound to.
-bool VerifyAgainstColdRebuild(ServingEngine* engine,
-                              bench::ServingSetup* setup,
-                              const std::vector<IndexConfig>& configs,
-                              const char* where) {
-  WorkloadCacheBuilder cold_builder(&setup->workload.db().catalog(),
-                                    &setup->set,
-                                    &setup->workload.db().stats());
-  auto cold = cold_builder.BuildAll(setup->queries);
-  if (!cold.ok()) {
-    std::fprintf(stderr, "%s\n", cold.status().ToString().c_str());
-    return false;
-  }
-  WorkloadCostEvaluator cold_eval(&cold->sealed);
-  for (size_t i = 0; i < configs.size(); ++i) {
-    const double served = engine->Cost(configs[i]).cost;
-    const double rebuilt = cold_eval.Cost(configs[i]);
-    if (served != rebuilt) {
-      std::fprintf(stderr,
-                   "FAIL (%s): served cost diverges from cold rebuild on"
-                   " config %zu: %.17g vs %.17g\n",
-                   where, i, served, rebuilt);
-      return false;
-    }
-  }
-  return true;
-}
-
 int Run(int replicas, bool smoke, const std::string& json_path,
         double min_speedup, uint64_t seed) {
   auto setup = bench::MakeServingSetup(replicas);
   if (setup == nullptr) return 1;
   const std::vector<Query>& queries = setup->queries;
+  CandidateSet& set = setup->world->set;
   std::printf("# live serving: %zu queries (%dx replication), "
               "%zu candidates, drift seed %llu\n",
-              queries.size(), replicas, setup->set.candidate_ids.size(),
+              queries.size(), replicas, set.candidate_ids.size(),
               static_cast<unsigned long long>(seed));
 
   ServingOptions options;
@@ -109,7 +79,7 @@ int Run(int replicas, bool smoke, const std::string& json_path,
   const int num_configs = smoke ? 8 : 24;
   for (int i = 0; i < num_configs; ++i) {
     configs.push_back(bench::RandomAtomicConfig(
-        queries[static_cast<size_t>(i) % queries.size()], setup->set, &rng));
+        queries[static_cast<size_t>(i) % queries.size()], set, &rng));
   }
 
   // ---- Phase A: steady state, no reseals (the latency baseline) ----
@@ -130,8 +100,8 @@ int Run(int replicas, bool smoke, const std::string& json_path,
   // place: no request can be answered while it runs, so the request
   // that arrives as the drift lands waits out the whole rebuild. That
   // serialization is exactly a blocking Reseal on the serving thread.
-  auto drift_b = ApplyDrift(queries, &setup->set,
-                            &setup->workload.db().stats(), queries.size(),
+  auto drift_b = ApplyDrift(queries, &set,
+                            &setup->world->mutable_stats(), queries.size(),
                             seed);
   if (!drift_b.ok()) {
     std::fprintf(stderr, "%s\n", drift_b.status().ToString().c_str());
@@ -148,14 +118,13 @@ int Run(int replicas, bool smoke, const std::string& json_path,
     (void)engine.Cost(configs[0]);
     stop_world_max_ms = stalled_request.ElapsedMillis();
   }
-  if (!VerifyAgainstColdRebuild(&engine, setup.get(), configs,
-                                "stop-the-world")) {
+  if (!bench::ServesColdRebuild(engine, *setup, configs, "stop-the-world")) {
     return 1;
   }
 
   // ---- Phase C: the same reseal concurrent with serving ----
-  auto drift_c = ApplyDrift(queries, &setup->set,
-                            &setup->workload.db().stats(), queries.size(),
+  auto drift_c = ApplyDrift(queries, &set,
+                            &setup->world->mutable_stats(), queries.size(),
                             seed + 1);
   if (!drift_c.ok()) {
     std::fprintf(stderr, "%s\n", drift_c.status().ToString().c_str());
@@ -180,8 +149,7 @@ int Run(int replicas, bool smoke, const std::string& json_path,
                  " reseal window\n");
     return 1;
   }
-  if (!VerifyAgainstColdRebuild(&engine, setup.get(), configs,
-                                "concurrent")) {
+  if (!bench::ServesColdRebuild(engine, *setup, configs, "concurrent")) {
     return 1;
   }
 
@@ -208,7 +176,7 @@ int Run(int replicas, bool smoke, const std::string& json_path,
     summary.Set("replicas", static_cast<int64_t>(replicas));
     summary.Set("queries", static_cast<int64_t>(queries.size()));
     summary.Set("candidates",
-                static_cast<int64_t>(setup->set.candidate_ids.size()));
+                static_cast<int64_t>(set.candidate_ids.size()));
     summary.Set("drift_seed", static_cast<int64_t>(seed));
     summary.Set("baseline_qps", baseline_qps);
     summary.Set("baseline_max_latency_ms", baseline_max_ms);
@@ -222,38 +190,16 @@ int Run(int replicas, bool smoke, const std::string& json_path,
     if (!summary.WriteTo(json_path)) return 1;
   }
 
-  if (min_speedup > 0 && stall_shrink < min_speedup) {
-    std::fprintf(stderr,
-                 "FAIL: stall shrink %.1fx below the %.1fx floor\n",
-                 stall_shrink, min_speedup);
-    return 1;
-  }
-  return 0;
+  return bench::MeetsFloor("stall shrink", stall_shrink, min_speedup) ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace pinum
 
 int main(int argc, char** argv) {
-  int replicas = -1;  // unspecified: 3x, or 1x under --smoke
-  bool smoke = false;
-  std::string json_path;
-  double min_speedup = 0;
-  uint64_t seed = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
-      min_speedup = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else {
-      replicas = std::atoi(argv[i]);
-      if (replicas < 1) replicas = 1;
-    }
-  }
-  if (replicas < 0) replicas = smoke ? 1 : 3;
-  return pinum::Run(replicas, smoke, json_path, min_speedup, seed);
+  pinum::bench::BenchFlags flags;
+  const auto& spec = pinum::bench::kLiveServingFlags;
+  if (!pinum::bench::ParseBenchFlags(argc, argv, spec, &flags)) return 2;
+  return pinum::Run(flags.replicas, flags.smoke, flags.json_path,
+                    flags.floors.at("--min-speedup"), flags.seed);
 }

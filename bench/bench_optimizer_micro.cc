@@ -10,22 +10,16 @@
 namespace pinum {
 namespace {
 
-struct Env {
-  StarSchemaWorkload workload = bench::MakePaperWorkload();
-  CandidateSet candidates = bench::MakeCandidates(workload);
-};
-
-Env& GetEnv() {
-  static Env* env = new Env();
+WorkloadInstance& GetEnv() {
+  static WorkloadInstance* env = bench::MakePaperInstance().release();
   return *env;
 }
 
 /// Standard optimizer call (stock pruning, no hooks).
 void BM_OptimizeStandard(benchmark::State& state) {
-  Env& env = GetEnv();
-  const Query& q =
-      env.workload.queries()[static_cast<size_t>(state.range(0))];
-  Optimizer opt(&env.workload.db().catalog(), &env.workload.db().stats());
+  WorkloadInstance& env = GetEnv();
+  const Query& q = env.queries[static_cast<size_t>(state.range(0))];
+  Optimizer opt(&env.catalog(), &env.stats());
   for (auto _ : state) {
     auto r = opt.Optimize(q, PlannerKnobs{});
     benchmark::DoNotOptimize(r);
@@ -37,10 +31,9 @@ BENCHMARK(BM_OptimizeStandard)->DenseRange(0, 9);
 
 /// Export-mode call (the PINUM plan-cache call, NLJ removed).
 void BM_OptimizeExportAllPlans(benchmark::State& state) {
-  Env& env = GetEnv();
-  const Query& q =
-      env.workload.queries()[static_cast<size_t>(state.range(0))];
-  Optimizer opt(&env.workload.db().catalog(), &env.workload.db().stats());
+  WorkloadInstance& env = GetEnv();
+  const Query& q = env.queries[static_cast<size_t>(state.range(0))];
+  Optimizer opt(&env.catalog(), &env.stats());
   PlannerKnobs knobs;
   knobs.enable_nestloop = false;
   knobs.hooks.export_all_plans = true;
@@ -55,10 +48,9 @@ BENCHMARK(BM_OptimizeExportAllPlans)->DenseRange(0, 9);
 /// Access Path Collector over the full candidate universe (the PINUM
 /// access-cost call).
 void BM_CollectAccessPaths(benchmark::State& state) {
-  Env& env = GetEnv();
-  const Query& q =
-      env.workload.queries()[static_cast<size_t>(state.range(0))];
-  Optimizer opt(&env.candidates.universe, &env.workload.db().stats());
+  WorkloadInstance& env = GetEnv();
+  const Query& q = env.queries[static_cast<size_t>(state.range(0))];
+  Optimizer opt(&env.set.universe, &env.stats());
   for (auto _ : state) {
     auto r = opt.CollectAccessPaths(q, PlannerKnobs{});
     benchmark::DoNotOptimize(r);
@@ -69,19 +61,18 @@ BENCHMARK(BM_CollectAccessPaths)->DenseRange(0, 9);
 
 /// Cached cost derivation: the arithmetic that replaces optimizer calls.
 void BM_InumCostDerivation(benchmark::State& state) {
-  Env& env = GetEnv();
-  const Query& q = env.workload.queries()[5];
+  WorkloadInstance& env = GetEnv();
+  const Query& q = env.queries[5];
   static InumCache* cache = [&] {
     PinumBuildOptions opts;
-    auto c = BuildInumCachePinum(q, env.workload.db().catalog(),
-                                 env.candidates, env.workload.db().stats(),
+    auto c = BuildInumCachePinum(q, env.catalog(), env.set, env.stats(),
                                  opts, nullptr);
     return new InumCache(std::move(*c));
   }();
   Rng rng(1);
   std::vector<IndexConfig> configs;
   for (int i = 0; i < 64; ++i) {
-    configs.push_back(bench::RandomAtomicConfig(q, env.candidates, &rng));
+    configs.push_back(bench::RandomAtomicConfig(q, env.set, &rng));
   }
   size_t i = 0;
   for (auto _ : state) {

@@ -14,8 +14,6 @@
 // --json additionally writes the machine-readable summary CI records as
 // an artifact (the BENCH_*.json perf trajectory).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "advisor/greedy_advisor.h"
@@ -30,7 +28,7 @@ namespace {
 int Run(int replicas, bool smoke, const std::string& json_path) {
   auto setup = bench::MakeServingSetup(replicas);
   if (setup == nullptr) return 1;
-  CandidateSet& set = setup->set;
+  CandidateSet& set = setup->world->set;
   const std::vector<Query>& queries = setup->queries;
   WorkloadCacheBuilder& builder = *setup->builder;
   WorkloadCacheResult* built = &setup->built;
@@ -182,19 +180,8 @@ int Run(int replicas, bool smoke, const std::string& json_path) {
 }  // namespace pinum
 
 int main(int argc, char** argv) {
-  int replicas = -1;  // unspecified: 3x, or 1x under --smoke
-  bool smoke = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      replicas = std::atoi(argv[i]);
-      if (replicas < 1) replicas = 1;
-    }
-  }
-  if (replicas < 0) replicas = smoke ? 1 : 3;
-  return pinum::Run(replicas, smoke, json_path);
+  pinum::bench::BenchFlags flags;
+  const auto& spec = pinum::bench::kServingThroughputFlags;
+  if (!pinum::bench::ParseBenchFlags(argc, argv, spec, &flags)) return 2;
+  return pinum::Run(flags.replicas, flags.smoke, flags.json_path);
 }

@@ -19,8 +19,6 @@
 // faster than the cold build; --min-mmap-speedup X fails it when
 // mmap-load is not at least X times faster than read-load.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "advisor/greedy_advisor.h"
@@ -38,7 +36,7 @@ int Run(int replicas, bool smoke, const std::string& json_path,
   // (the shared serving preamble times the build).
   auto setup = bench::MakeServingSetup(replicas);
   if (setup == nullptr) return 1;
-  CandidateSet& set = setup->set;
+  CandidateSet& set = setup->world->set;
   const std::vector<Query>& queries = setup->queries;
   WorkloadCacheBuilder& builder = *setup->builder;
   WorkloadCacheResult* built = &setup->built;
@@ -128,24 +126,19 @@ int Run(int replicas, bool smoke, const std::string& json_path,
   const AdvisorResult fresh = RunGreedyAdvisor(built->sealed, set, aopts);
   const AdvisorResult restored =
       RunGreedyAdvisor(snapshot.sealed, set, aopts);
-  if (fresh.chosen != restored.chosen ||
-      fresh.workload_cost_before != restored.workload_cost_before ||
-      fresh.workload_cost_after != restored.workload_cost_after ||
-      fresh.total_size_bytes != restored.total_size_bytes ||
-      fresh.evaluations != restored.evaluations) {
+  std::string why;
+  if (!bench::SameAdvice(fresh, restored, &why)) {
     std::fprintf(stderr,
-                 "FAIL: advisor output from restored caches diverges\n");
+                 "FAIL: advisor output from restored caches diverges: %s\n",
+                 why.c_str());
     return 1;
   }
   const AdvisorResult from_mapped =
       RunGreedyAdvisor(mapped.sealed, set, aopts);
-  if (fresh.chosen != from_mapped.chosen ||
-      fresh.workload_cost_before != from_mapped.workload_cost_before ||
-      fresh.workload_cost_after != from_mapped.workload_cost_after ||
-      fresh.total_size_bytes != from_mapped.total_size_bytes ||
-      fresh.evaluations != from_mapped.evaluations) {
+  if (!bench::SameAdvice(fresh, from_mapped, &why)) {
     std::fprintf(stderr,
-                 "FAIL: advisor output from mapped caches diverges\n");
+                 "FAIL: advisor output from mapped caches diverges: %s\n",
+                 why.c_str());
     return 1;
   }
 
@@ -186,46 +179,21 @@ int Run(int replicas, bool smoke, const std::string& json_path,
     if (!summary.WriteTo(json_path)) return 1;
   }
 
-  if (min_speedup > 0 && speedup < min_speedup) {
-    std::fprintf(stderr,
-                 "FAIL: snapshot load speedup %.1fx below the %.1fx floor\n",
-                 speedup, min_speedup);
-    return 1;
-  }
-  if (min_mmap_speedup > 0 && mmap_speedup < min_mmap_speedup) {
-    std::fprintf(stderr,
-                 "FAIL: mmap-vs-read speedup %.2fx below the %.1fx floor\n",
-                 mmap_speedup, min_mmap_speedup);
-    return 1;
-  }
-  return 0;
+  const bool met =
+      bench::MeetsFloor("snapshot load speedup", speedup, min_speedup) &&
+      bench::MeetsFloor("mmap-vs-read speedup", mmap_speedup,
+                        min_mmap_speedup);
+  return met ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace pinum
 
 int main(int argc, char** argv) {
-  int replicas = -1;  // unspecified: 3x, or 1x under --smoke
-  bool smoke = false;
-  std::string json_path;
-  double min_speedup = 0;
-  double min_mmap_speedup = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
-      min_speedup = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--min-mmap-speedup") == 0 &&
-               i + 1 < argc) {
-      min_mmap_speedup = std::atof(argv[++i]);
-    } else {
-      replicas = std::atoi(argv[i]);
-      if (replicas < 1) replicas = 1;
-    }
-  }
-  if (replicas < 0) replicas = smoke ? 1 : 3;
-  return pinum::Run(replicas, smoke, json_path, min_speedup,
-                    min_mmap_speedup);
+  pinum::bench::BenchFlags flags;
+  const auto& spec = pinum::bench::kSnapshotFlags;
+  if (!pinum::bench::ParseBenchFlags(argc, argv, spec, &flags)) return 2;
+  return pinum::Run(flags.replicas, flags.smoke, flags.json_path,
+                    flags.floors.at("--min-speedup"),
+                    flags.floors.at("--min-mmap-speedup"));
 }

@@ -12,7 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "advisor/candidate_generator.h"
 #include "test_util.h"
+#include "workload/star_schema.h"
 #include "workload/workload_family.h"
 
 namespace pinum {
@@ -80,6 +82,31 @@ TEST(WorkloadFamilyTest, SameSeedReproducesBitIdenticalWorkload) {
     ASSERT_NE(b, nullptr);
     EXPECT_EQ(Render(*a), Render(*b));
   }
+}
+
+TEST(WorkloadFamilyTest, StarAtPaperSizeIsThePaperWorkload) {
+  // The benches' paper workload (bench::MakePaperInstance) is the star
+  // family at ten queries. The floor-gated benches' CI floors were set
+  // on StarSchemaWorkload::Create({}) with default candidates, so the
+  // two must be the same workload, byte for byte.
+  WorkloadFamilyOptions options;
+  options.num_queries = 10;
+  auto family = Make("star", options);
+  ASSERT_NE(family, nullptr);
+
+  auto star = StarSchemaWorkload::Create(StarSchemaSpec{});
+  ASSERT_TRUE(star.ok()) << star.status().ToString();
+  const auto cands = GenerateCandidates(star->queries(), star->db().catalog(),
+                                        star->db().stats(), CandidateOptions{});
+  auto set = MakeCandidateSet(star->db().catalog(), cands);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  WorkloadInstance paper;
+  paper.queries = star->queries();
+  paper.tables = star->tables();
+  paper.db = std::move(star->db());
+  paper.set = std::move(*set);
+  EXPECT_EQ(paper.queries.size(), 10u);
+  EXPECT_EQ(Render(*family), Render(paper));
 }
 
 TEST(WorkloadFamilyTest, DifferentSeedsProduceDifferentQueries) {
