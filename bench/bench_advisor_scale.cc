@@ -20,7 +20,6 @@
 
 #include "advisor/greedy_advisor.h"
 #include "bench_util.h"
-#include "common/simd.h"
 #include "common/stopwatch.h"
 #include "workload/cache_manager.h"
 
@@ -36,9 +35,8 @@ int Run(int replicas, bool smoke, const std::string& json_path,
   WorkloadCacheBuilder& builder = *setup->builder;
   WorkloadCacheResult* built = &setup->built;
   std::printf("# advisor scale: %zu queries (%dx replication), "
-              "%zu candidates, SIMD backend %s\n",
-              queries.size(), replicas, set.candidate_ids.size(),
-              simd::BackendName());
+              "%zu candidates\n",
+              queries.size(), replicas, set.candidate_ids.size());
   std::printf("# build %.1f ms (seal %.1f ms); %zu plans, %zu terms, "
               "%zu postings over %lld universe ids\n",
               built->totals.wall_ms, built->totals.seal_ms,
@@ -113,7 +111,6 @@ int Run(int replicas, bool smoke, const std::string& json_path,
   if (!json_path.empty()) {
     bench::JsonSummary summary;
     summary.Set("bench", std::string("advisor_scale"));
-    summary.Set("simd_backend", std::string(simd::BackendName()));
     summary.Set("replicas", static_cast<int64_t>(replicas));
     summary.Set("queries", static_cast<int64_t>(queries.size()));
     summary.Set("candidates",

@@ -58,16 +58,17 @@ int Run(int replicas, bool smoke, const std::string& json_path,
     return 1;
   }
 
-  // Incremental path: reseal exactly the stale queries in place.
+  // Incremental path: reseal exactly the stale queries.
   WorkloadCacheStats reseal_totals;
   Stopwatch reseal_timer;
-  Status resealed = setup->builder->RebuildQueries(
-      drift->stale_queries, queries, &setup->built, &reseal_totals);
+  auto resealed = setup->builder->RebuildQueries(
+      drift->stale_queries, queries, setup->built, &reseal_totals);
   const double reseal_ms = reseal_timer.ElapsedMillis();
   if (!resealed.ok()) {
-    std::fprintf(stderr, "%s\n", resealed.ToString().c_str());
+    std::fprintf(stderr, "%s\n", resealed.status().ToString().c_str());
     return 1;
   }
+  setup->built = std::move(*resealed);
   const int64_t reseal_calls =
       reseal_totals.plan_cache_calls + reseal_totals.access_cost_calls;
 

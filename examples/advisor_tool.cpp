@@ -52,7 +52,7 @@ namespace {
 
 /// The restart path behind --load and --load-mmap: restores the snapshot
 /// at `path` (mapped or read), checks it holds this workload's
-/// caches, and reseals exactly the stale queries in place. Prints what
+/// caches, and reseals exactly the stale queries. Prints what
 /// it did and returns the serving caches.
 StatusOr<std::vector<SealedCache>> Restore(WorkloadCacheBuilder& builder,
                                            const std::vector<Query>& queries,
@@ -100,8 +100,9 @@ StatusOr<std::vector<SealedCache>> Restore(WorkloadCacheBuilder& builder,
     std::vector<std::string> stale_names;
     for (size_t i : stale) stale_names.push_back(queries[i].name);
     WorkloadCacheStats totals;
-    PINUM_RETURN_IF_ERROR(
-        builder.RebuildQueries(stale_names, queries, &restored, &totals));
+    PINUM_ASSIGN_OR_RETURN(
+        restored,
+        builder.RebuildQueries(stale_names, queries, restored, &totals));
     std::printf("snapshot was stale for %zu of %zu queries; resealed "
                 "them with %lld optimizer calls\n",
                 stale.size(), queries.size(),
@@ -281,7 +282,7 @@ int main(int argc, char** argv) {
     }
 
     // Incremental reseal demo: drift the statistics under the serving
-    // layer (seeded) and repair only the stale queries in place —
+    // layer (seeded) and repair only the stale queries —
     // the maintenance path a long-lived what-if service runs on every
     // re-ANALYZE instead of a full rebuild.
     if (reseal_target >= 0) {
@@ -298,13 +299,13 @@ int main(int argc, char** argv) {
                   workload->queries().size());
       WorkloadCacheStats reseal_totals;
       Stopwatch reseal_timer;
-      Status st = builder.RebuildQueries(drift->stale_queries,
-                                         workload->queries(), &*built,
-                                         &reseal_totals);
-      if (!st.ok()) {
-        std::fprintf(stderr, "%s\n", st.ToString().c_str());
+      auto resealed = builder.RebuildQueries(
+          drift->stale_queries, workload->queries(), *built, &reseal_totals);
+      if (!resealed.ok()) {
+        std::fprintf(stderr, "%s\n", resealed.status().ToString().c_str());
         return 1;
       }
+      *built = std::move(*resealed);
       std::printf("incremental reseal: %lld optimizer calls, %.1f ms "
                   "(a full rebuild would re-pay %lld calls)\n",
                   static_cast<long long>(reseal_totals.plan_cache_calls +

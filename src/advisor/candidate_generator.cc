@@ -64,42 +64,38 @@ std::vector<IndexDef> GenerateCandidates(const std::vector<Query>& workload,
       const std::vector<ColumnIdx> needed = q.NeededColumns(table);
 
       for (ColumnIdx lead : interesting) {
-        if (options.single_column) emit(table, {lead});
-        if (options.covering) {
-          std::vector<ColumnIdx> cols = {lead};
-          for (ColumnIdx c : needed) {
-            if (c != lead) cols.push_back(c);
-          }
-          if (cols.size() > 1) emit(table, cols);
+        emit(table, {lead});
+        std::vector<ColumnIdx> cols = {lead};
+        for (ColumnIdx c : needed) {
+          if (c != lead) cols.push_back(c);
         }
+        if (cols.size() > 1) emit(table, cols);
       }
       // Pure covering index (index-only scans without a useful order).
-      if (options.covering && !needed.empty()) emit(table, needed);
+      if (!needed.empty()) emit(table, needed);
     }
   }
 
   // Workload-covering candidates: per table, each filter column leading
   // the union of all columns the workload reads from the table.
-  if (options.workload_covering) {
-    std::map<TableId, std::set<ColumnIdx>> unions;
-    std::map<TableId, std::set<ColumnIdx>> filter_cols;
-    for (const Query& q : workload) {
-      for (TableId table : q.tables) {
-        const auto needed = q.NeededColumns(table);
-        unions[table].insert(needed.begin(), needed.end());
-      }
-      for (const auto& f : q.filters) {
-        filter_cols[f.column.table].insert(f.column.column);
-      }
+  std::map<TableId, std::set<ColumnIdx>> unions;
+  std::map<TableId, std::set<ColumnIdx>> filter_cols;
+  for (const Query& q : workload) {
+    for (TableId table : q.tables) {
+      const auto needed = q.NeededColumns(table);
+      unions[table].insert(needed.begin(), needed.end());
     }
-    for (const auto& [table, cols] : unions) {
-      for (ColumnIdx lead : filter_cols[table]) {
-        std::vector<ColumnIdx> key = {lead};
-        for (ColumnIdx c : cols) {
-          if (c != lead) key.push_back(c);
-        }
-        if (key.size() > 1) emit(table, key);
+    for (const auto& f : q.filters) {
+      filter_cols[f.column.table].insert(f.column.column);
+    }
+  }
+  for (const auto& [table, cols] : unions) {
+    for (ColumnIdx lead : filter_cols[table]) {
+      std::vector<ColumnIdx> key = {lead};
+      for (ColumnIdx c : cols) {
+        if (c != lead) key.push_back(c);
       }
+      if (key.size() > 1) emit(table, key);
     }
   }
   return out;

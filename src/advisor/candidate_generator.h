@@ -16,22 +16,18 @@ namespace pinum {
 
 /// Candidate generation knobs.
 struct CandidateOptions {
-  /// Emit single-column indexes on filter/join/order/group columns.
-  bool single_column = true;
-  /// Emit covering indexes: interesting column first, then every other
-  /// column the query reads from the table (enables index-only scans —
-  /// the paper's winning fact-table indexes are of this shape).
-  bool covering = true;
-  /// Emit workload-covering indexes: a filter column first, then the
-  /// union of every column any workload query reads from the table. One
-  /// such index serves many queries at once, which is how the paper's
-  /// advisor amortizes a few fat fact-table indexes across the workload.
-  bool workload_covering = true;
   /// Upper bound on emitted candidates (0 = unlimited).
   size_t max_candidates = 0;
 };
 
 /// Generates deduplicated hypothetical candidate indexes for a workload.
+/// Per query and table, each interesting column yields a single-column
+/// index and a covering one (that column first, then every other column
+/// the query reads from the table — the paper's winning fact-table
+/// indexes are of this shape), then one pure covering index. Last come
+/// workload-covering indexes: per table, each filter column leading the
+/// union of the columns any query reads from it, so one index serves
+/// many queries. The emit order fixes candidate ids (the corpus pins it).
 std::vector<IndexDef> GenerateCandidates(const std::vector<Query>& workload,
                                          const Catalog& catalog,
                                          const StatsCatalog& stats,

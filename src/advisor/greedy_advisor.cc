@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/simd.h"
 #include "whatif/whatif_index.h"
 
 namespace pinum {
@@ -91,10 +90,10 @@ const std::vector<double>& WorkloadCostEvaluator::BatchCostWithExtras(
         scratch->per_query[static_cast<size_t>(q)];
     if (ctx.seal_id() != cache.seal_id()) {
       // The cache at this slot was resealed (or replaced) since the
-      // context was pinned — RebuildQueries swaps stale queries' seals
-      // in place — so the pinned values index a dead term layout.
-      // Re-prepare against the live seal; only the resealed queries pay
-      // this, their neighbours keep their warm contexts.
+      // context was pinned — a rebuilt result assigned over the vector
+      // swaps stale queries' seals — so the pinned values index a dead
+      // term layout. Re-prepare against the live seal; only the resealed
+      // queries pay this, their neighbours keep their warm contexts.
       cache.PrepareContext(base, &ctx);
     } else if (extend) {
       cache.ExtendContext(&ctx, appended);
@@ -104,11 +103,11 @@ const std::vector<double>& WorkloadCostEvaluator::BatchCostWithExtras(
     double* row = scratch->per_query_costs.data() +
                   static_cast<size_t>(q) * num_extras;
     if (empty_sweep) {
-      simd::Fill(row, ctx.base_cost(), num_extras);
+      std::fill(row, row + num_extras, ctx.base_cost());
     } else if (duplicate_ids) {
       cache.CostExtrasInto(&ctx, extras.data(), num_extras, row);
     } else {
-      simd::Fill(row, ctx.base_cost(), num_extras);
+      std::fill(row, row + num_extras, ctx.base_cost());
       cache.CostActiveExtrasInto(&ctx, position_of_id, map_size, row);
     }
   };

@@ -50,11 +50,12 @@ class WorkloadCostEvaluator {
   /// across evaluators over different vectors or concurrent calls — the
   /// first call records the cache-vector identity in `bound_caches` and
   /// debug builds assert on a mismatch. It IS safe to keep using a
-  /// scratch after WorkloadCacheBuilder::RebuildQueries reseals some of
-  /// the vector's caches in place: every call compares each context's
-  /// recorded seal id against its cache's (SealedCache::seal_id) and
-  /// re-prepares exactly the resealed queries' contexts, so reuse can
-  /// never serve costs from a dead seal's term layout.
+  /// scratch after assigning a WorkloadCacheBuilder::RebuildQueries
+  /// result over the evaluator's vector: every call compares each
+  /// context's recorded seal id against its cache's
+  /// (SealedCache::seal_id) and re-prepares exactly the resealed
+  /// queries' contexts, so reuse can never serve costs from a dead
+  /// seal's term layout.
   struct EvalScratch {
     std::vector<SealedCache::CostContext> per_query;
     /// Row-major [query][extra] per-query costs.
@@ -102,8 +103,6 @@ class WorkloadCostEvaluator {
   const std::vector<double>& BatchCostWithExtras(
       const IndexConfig& base, const std::vector<IndexId>& extras,
       EvalScratch* scratch) const;
-
-  size_t NumQueries() const { return caches_->size(); }
 
   /// The cache vector this evaluator prices against (not owned). The
   /// search advisor uses this to spin up serial per-restart evaluators

@@ -10,6 +10,11 @@
 namespace pinum {
 namespace {
 
+// Passes of swap/backtracking local moves over the incumbent; each pass
+// tries evicting every chosen position once. Stops early at a fixpoint
+// (a pass with no accepted move).
+constexpr int kMaxLocalPasses = 4;
+
 // SplitMix64 finalizer: decorrelates the per-restart streams so restart
 // r's prefix is pinned by (seed, r) alone.
 uint64_t MixSeed(uint64_t seed, uint64_t r) {
@@ -248,8 +253,7 @@ SearchResult RunSearchAdvisor(const WorkloadCostEvaluator& evaluator,
   const double abs_floor = options.base.min_absolute_benefit;
 
   bool out_of_time = false;
-  for (int pass = 0; pass < options.max_local_passes && !out_of_time;
-       ++pass) {
+  for (int pass = 0; pass < kMaxLocalPasses && !out_of_time; ++pass) {
     bool pass_improved = false;
     for (size_t pos = 0; pos < chosen.size(); ++pos) {
       if (expired()) {  // anytime: finish between whole eviction moves

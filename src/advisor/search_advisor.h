@@ -53,10 +53,6 @@ struct SearchOptions {
   /// budget is already spent, so the search never returns a
   /// configuration worse than greedy's.
   double time_budget_ms = 0;
-  /// Passes of swap/backtracking local moves over the incumbent; each
-  /// pass tries evicting every chosen position once. Stops early at a
-  /// fixpoint (a pass with no accepted move).
-  int max_local_passes = 4;
   /// Skip swap-sweep candidates whose posting footprint is disjoint
   /// from everything the incumbent changed and whose last swept benefit
   /// already failed the stopping floor. Exact (never changes the

@@ -20,12 +20,6 @@ class Stopwatch {
         .count();
   }
 
-  /// Elapsed time since construction/Reset in microseconds.
-  double ElapsedMicros() const {
-    return std::chrono::duration<double, std::micro>(Clock::now() - start_)
-        .count();
-  }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -2,7 +2,6 @@
 #ifndef PINUM_COMMON_STR_UTIL_H_
 #define PINUM_COMMON_STR_UTIL_H_
 
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,20 +16,6 @@ inline std::string StrJoin(const std::vector<std::string>& parts,
     out += parts[i];
   }
   return out;
-}
-
-/// Joins arbitrary streamable elements with `sep`, applying `fn` to each.
-template <typename Container, typename Fn>
-std::string StrJoinMapped(const Container& items, const std::string& sep,
-                          Fn fn) {
-  std::ostringstream out;
-  bool first = true;
-  for (const auto& item : items) {
-    if (!first) out << sep;
-    first = false;
-    out << fn(item);
-  }
-  return out.str();
 }
 
 /// Uppercases ASCII letters in place and returns the string.

@@ -43,10 +43,7 @@ bool SharedAccessCostStore::LookupTable(const std::string& signature,
                                         TableAccessInfo* out) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_table_.find(signature);
-  if (it == by_table_.end()) {
-    ++misses_;
-    return false;
-  }
+  if (it == by_table_.end()) return false;
   ++hits_;
   *out = it->second;
   return true;
@@ -67,10 +64,7 @@ bool SharedAccessCostStore::LookupCandidate(IndexId candidate,
                                             TableAccessInfo* out) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_candidate_.find({candidate, signature});
-  if (it == by_candidate_.end()) {
-    ++misses_;
-    return false;
-  }
+  if (it == by_candidate_.end()) return false;
   ++hits_;
   *out = it->second;
   return true;
@@ -128,16 +122,6 @@ size_t SharedAccessCostStore::InvalidateTables(
 int64_t SharedAccessCostStore::hits() const {
   std::lock_guard<std::mutex> lock(mu_);
   return hits_;
-}
-
-int64_t SharedAccessCostStore::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
-}
-
-size_t SharedAccessCostStore::NumEntries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return by_table_.size() + by_candidate_.size();
 }
 
 }  // namespace pinum

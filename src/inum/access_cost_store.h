@@ -84,8 +84,6 @@ class SharedAccessCostStore {
   size_t InvalidateTables(const std::vector<TableId>& tables);
 
   int64_t hits() const;
-  int64_t misses() const;
-  size_t NumEntries() const;
 
  private:
   mutable std::mutex mu_;
@@ -93,7 +91,6 @@ class SharedAccessCostStore {
   std::map<std::pair<IndexId, std::string>, TableAccessInfo> by_candidate_;
   std::map<std::string, TableAccessInfo> fallback_;
   mutable int64_t hits_ = 0;
-  mutable int64_t misses_ = 0;
 };
 
 }  // namespace pinum

@@ -4,10 +4,6 @@
 
 namespace pinum {
 
-AccessCostTable::AccessCostTable(const std::vector<TableAccessInfo>& info) {
-  for (const auto& t : info) Absorb(t);
-}
-
 void AccessCostTable::Absorb(const TableAccessInfo& info) {
   if (info.pos < 0) return;
   if (static_cast<size_t>(info.pos) >= tables_.size()) {
@@ -99,12 +95,6 @@ double AccessCostTable::Probe(int pos, ColumnRef col,
     }
   }
   return best;
-}
-
-size_t AccessCostTable::NumIndexCosts() const {
-  size_t n = 0;
-  for (const auto& t : tables_) n += t.by_index.size();
-  return n;
 }
 
 }  // namespace pinum

@@ -64,12 +64,6 @@ struct IndexAccessCosts {
 /// Access-cost table for one query.
 class AccessCostTable {
  public:
-  AccessCostTable() = default;
-
-  /// Builds from the optimizer's per-table access info (one entry per
-  /// table position of the query).
-  explicit AccessCostTable(const std::vector<TableAccessInfo>& info);
-
   /// Merges the per-index costs of `info` into the table (classic INUM's
   /// incremental population, one optimizer call at a time).
   void Absorb(const TableAccessInfo& info);
@@ -98,9 +92,6 @@ class AccessCostTable {
     if (pos < 0 || static_cast<size_t>(pos) >= tables_.size()) return nullptr;
     return &tables_[static_cast<size_t>(pos)].by_index;
   }
-
-  int NumTables() const { return static_cast<int>(tables_.size()); }
-  size_t NumIndexCosts() const;
 
  private:
   struct PerTable {

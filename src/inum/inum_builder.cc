@@ -61,7 +61,7 @@ StatusOr<InumCache> BuildInumCacheClassic(const Query& query,
     cache.AddPlan(*no_nlj.best, covering, !query.order_by.empty());
     ++local.plan_cache_calls;
 
-    if (options.include_nlj_plans && options.base_knobs.enable_nestloop) {
+    if (options.base_knobs.enable_nestloop) {
       knobs.enable_nestloop = true;
       PINUM_RETURN_IF_ERROR(FailPoint::Check("inum.plan_optimizer_call"));
       PINUM_ASSIGN_OR_RETURN(OptimizeResult with_nlj,

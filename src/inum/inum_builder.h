@@ -18,10 +18,6 @@ namespace pinum {
 
 /// Knobs for the classic build.
 struct InumBuildOptions {
-  /// Cache NLJ plans with a second optimizer call per IOC (the paper:
-  /// "INUM caches two optimal plans for each interesting order
-  /// combination, one with nested loop joins and one without").
-  bool include_nlj_plans = true;
   /// When set, per-candidate access-cost calls whose answer another
   /// workload query already computed (same candidate, same table
   /// footprint) are served from the store instead of the optimizer.
@@ -44,8 +40,11 @@ struct InumBuildStats {
 
 /// Fills an InumCache for `query` the classic way:
 ///  - enumerate every IOC; for each, create single-column what-if indexes
-///    covering it and invoke the optimizer (twice with NLJ on/off),
-///    caching the winning plan;
+///    covering it and invoke the optimizer twice, with NLJ off and on
+///    (the paper: "INUM caches two optimal plans for each interesting
+///    order combination, one with nested loop joins and one without"),
+///    caching each winning plan; base_knobs.enable_nestloop = false
+///    skips the second call;
 ///  - for every candidate index, invoke the optimizer once with only that
 ///    index visible to learn its access costs.
 StatusOr<InumCache> BuildInumCacheClassic(const Query& query,

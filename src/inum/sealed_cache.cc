@@ -9,8 +9,6 @@
 #include <tuple>
 #include <type_traits>
 
-#include "common/simd.h"
-
 namespace pinum {
 
 namespace {
@@ -53,13 +51,12 @@ bool Dominates(const CachedPlan& a, const CachedPlan& b) {
 }
 
 /// One distinct (table position, requirement kind, column) slot
-/// requirement during the seal: base cost plus the dense per-index row
-/// the old naive fill produced one map probe at a time. The row now
-/// starts as a SIMD fill of the base — an id with no entry in the
+/// requirement during the seal: base cost plus the dense per-index row.
+/// The row starts as a fill of the base — an id with no entry in the
 /// table's access map prices exactly like the empty configuration
 /// (Unordered falls back to the heap, Ordered/Probe to infinite) — and
 /// only the table's few recorded indexes are patched in with their
-/// singleton-configuration price, the same double the naive path
+/// singleton-configuration price, the same double a per-id map probe
 /// computes for them.
 struct BuildTerm {
   double base = kInfiniteCost;
@@ -327,8 +324,7 @@ SealedCache SealedCache::Seal(const InumCache& cache, IndexId num_index_ids) {
     };
     term.base = price({});
     term.feasible = !IsInfinite(term.base);
-    term.row.resize(universe);
-    simd::Fill(term.row.data(), term.base, universe);
+    term.row.assign(universe, term.base);
     if (const auto* by_index = access.IndexCostsAt(slot.table_pos)) {
       for (const auto& [id, costs] : *by_index) {
         (void)costs;
@@ -535,16 +531,18 @@ void SealedCache::PrepareContext(const IndexConfig& base,
   const size_t num_terms = term_bases_.size();
   ctx->values_.resize(num_terms);
   std::copy(term_bases_.begin(), term_bases_.end(), ctx->values_.begin());
+  double* values = ctx->values_.data();
   for (IndexId id : base) {
     // Ids outside the sealed universe price as absent, like ids missing
     // from the unsealed table's per-slot maps. Per term, the fold order
     // matches the unsealed min exactly: base first, then each
     // configuration id in configuration order.
     if (id >= 0 && static_cast<size_t>(id) < universe_) {
-      simd::MinFoldInto(
-          ctx->values_.data(),
-          per_index_values_.data() + static_cast<size_t>(id) * num_terms,
-          num_terms);
+      const double* row =
+          per_index_values_.data() + static_cast<size_t>(id) * num_terms;
+      for (size_t t = 0; t < num_terms; ++t) {
+        values[t] = std::min(values[t], row[t]);
+      }
     }
   }
   ctx->base_cost_ = ScanPlans(ctx->values_.data(), kInfiniteCost);
@@ -633,7 +631,7 @@ void SealedCache::CostExtrasInto(CostContext* ctx, const IndexId* extras,
   // lists are empty — candidate indexes on other tables, or indexes the
   // heap already beats), so the whole row starts as the base cost and
   // only posting-bearing extras are priced individually.
-  simd::Fill(out, ctx->base_cost_, n);
+  std::fill(out, out + n, ctx->base_cost_);
   const uint32_t* offsets = posting_offsets_.data();
   for (size_t i = 0; i < n; ++i) {
     const IndexId extra = extras[i];

@@ -18,9 +18,8 @@
 //    matrix over the candidate universe's stable ids (CandidateSet
 //    guarantees id stability): distinct slot requirements are
 //    deduplicated into shared "terms", and pricing a configuration is a
-//    base-row copy plus one contiguous SIMD min-fold per configuration
-//    index (src/common/simd.h; scalar fallback selected at configure
-//    time);
+//    base-row copy plus one contiguous min-fold per configuration
+//    index;
 //  - per-index posting lists record, for every universe index, the few
 //    terms that index can actually lower below their base cost. They
 //    drive the delta-costing path: with a CostContext pinning a base
@@ -88,8 +87,8 @@ class SealedCache {
   /// views (it prices everything as the empty cache does). The
   /// destination keeps the seal id, so CostContexts prepared against
   /// the source before the move stay valid against the destination
-  /// (the contract RebuildQueries' in-place slot replacement and the
-  /// serving engine's generation plumbing rely on; pinned by the
+  /// (the contract RebuildQueries' slot replacement and the serving
+  /// engine's generation plumbing rely on; pinned by the
   /// move-regression test alongside ScratchReuseAcrossResealServesLiveCosts).
   SealedCache(SealedCache&& other) noexcept { *this = std::move(other); }
   SealedCache& operator=(SealedCache&& other) noexcept;
@@ -140,7 +139,7 @@ class SealedCache {
   /// batched evaluator price configurations on a pool.
   double Cost(const IndexConfig& config) const;
 
-  /// Pins `base` into `ctx`: resolves every term against `base` (SIMD
+  /// Pins `base` into `ctx`: resolves every term against `base` (a
   /// min-fold over the index-major matrix) and records the plan-scan
   /// result, so base + {extra} questions become sparse overlays.
   void PrepareContext(const IndexConfig& base, CostContext* ctx) const;
@@ -164,7 +163,7 @@ class SealedCache {
 
   /// CostWithExtra for a whole sweep: out[i] = CostWithExtra(ctx,
   /// extras[i]) for i in [0, n), bit-identically. The advisor-shaped
-  /// entry point: out is SIMD-filled with the base cost first, so the
+  /// entry point: out is filled with the base cost first, so the
   /// many extras whose posting lists are empty for this query cost one
   /// store instead of a call.
   void CostExtrasInto(CostContext* ctx, const IndexId* extras, size_t n,
@@ -208,7 +207,7 @@ class SealedCache {
   /// a process), carried along by copies and moves — both answer
   /// bit-identically, so contexts pinned against the original stay
   /// valid. Assigning a different cache into a slot (RebuildQueries
-  /// replacing a resealed query in place) changes the slot's seal id,
+  /// replacing a resealed query) changes the slot's seal id,
   /// which is how CostContext/EvalScratch staleness is detected.
   uint64_t seal_id() const { return seal_id_; }
   /// Bytes of the backing arena image (0 for a default-constructed

@@ -39,8 +39,6 @@ class IocEnumerator {
   /// Resets to the beginning.
   void Reset();
 
-  uint64_t TotalCount() const { return CountIocs(per_table_); }
-
  private:
   std::vector<std::vector<ColumnRef>> per_table_;
   std::vector<size_t> digits_;  // 0 = Φ, k = per_table_[t][k-1]

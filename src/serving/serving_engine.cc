@@ -40,7 +40,7 @@ std::shared_ptr<const ServingGeneration> ServingEngine::Pin() const {
 CostAnswer ServingEngine::Cost(const IndexConfig& config) const {
   const auto gen = Pin();
   WorkloadCostEvaluator evaluator(&gen->sealed(), options_.pool);
-  return CostAnswer{evaluator.Cost(config), gen->id};
+  return CostAnswer{evaluator.Cost(config), gen->id, Status::OK()};
 }
 
 std::vector<CostAnswer> ServingEngine::BatchCost(
@@ -50,7 +50,7 @@ std::vector<CostAnswer> ServingEngine::BatchCost(
   const std::vector<double> costs = evaluator.BatchCost(configs);
   std::vector<CostAnswer> answers(costs.size());
   for (size_t i = 0; i < costs.size(); ++i) {
-    answers[i] = CostAnswer{costs[i], gen->id};
+    answers[i] = CostAnswer{costs[i], gen->id, Status::OK()};
   }
   return answers;
 }
@@ -86,7 +86,7 @@ size_t ServingEngine::PumpOnce() {
   std::vector<PendingRequest> batch;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    const size_t take = std::min(pending_.size(), options_.max_batch);
+    const size_t take = std::min(pending_.size(), kMaxBatch);
     batch.reserve(take);
     for (size_t i = 0; i < take; ++i) {
       batch.push_back(std::move(pending_.front()));
@@ -133,7 +133,7 @@ size_t ServingEngine::PumpOnce() {
     WorkloadCostEvaluator evaluator(&gen->sealed(), options_.pool);
     const std::vector<double> costs = evaluator.BatchCost(configs);
     for (size_t i = 0; i < live.size(); ++i) {
-      live[i].promise.set_value(CostAnswer{costs[i], gen->id});
+      live[i].promise.set_value(CostAnswer{costs[i], gen->id, Status::OK()});
     }
     stat_answered_.fetch_add(live.size(), std::memory_order_relaxed);
   } catch (const std::exception& e) {
@@ -235,7 +235,7 @@ Status ServingEngine::ResealLocked(const std::vector<std::string>& names) {
   // thread.
   StatusOr<WorkloadCacheResult> next = [&]() -> StatusOr<WorkloadCacheResult> {
     try {
-      return builder_->RebuildQueriesInto(names, *queries_, base->result);
+      return builder_->RebuildQueries(names, *queries_, base->result);
     } catch (const std::exception& e) {
       return Status::Internal(std::string("reseal rebuild threw: ") +
                               e.what());
@@ -277,7 +277,7 @@ Status ServingEngine::ResealLocked(const std::vector<std::string>& names) {
 void ServingEngine::PushEventLocked(MaintenanceEvent event) {
   event.at = std::chrono::steady_clock::now();
   events_.push_back(std::move(event));
-  while (events_.size() > options_.max_maintenance_events) {
+  while (events_.size() > kMaxMaintenanceEvents) {
     events_.pop_front();
   }
 }
@@ -406,9 +406,8 @@ void ServingEngine::WatcherLoop(std::chrono::milliseconds poll) {
     }
     const int exponent =
         std::min(std::max(failures - 1, 0), policy.max_retries);
-    const double base =
-        static_cast<double>(policy.initial_backoff.count()) *
-        std::pow(policy.backoff_multiplier, exponent);
+    const double base = std::ldexp(
+        static_cast<double>(policy.initial_backoff.count()), exponent);
     // Jitter factor in [0.75, 1.25), deterministic per jitter_seed.
     const double jittered = base * (0.75 + 0.5 * jitter.NextDouble());
     wait = std::chrono::milliseconds(

@@ -8,7 +8,7 @@
 // atomic load — no lock, no wait, no interaction with maintenance —
 // and answer from the pinned generation even if ten reseals publish
 // while they compute. Maintenance builds the next generation off to
-// the side (WorkloadCacheBuilder::RebuildQueriesInto copies the base
+// the side (WorkloadCacheBuilder::RebuildQueries copies the base
 // result and reseals only the stale queries) and publishes it with one
 // atomic store. Old generations are reclaimed by shared_ptr refcount
 // when the last pinned reader drops them.
@@ -71,10 +71,9 @@ struct MaintenancePolicy {
   /// health state, so operators alarm on persistent faults rather than
   /// one blip.
   int max_retries = 3;
-  /// Backoff before the first retry; doubles (backoff_multiplier) per
-  /// consecutive failure, capped at the max_retries exponent.
+  /// Backoff before the first retry; doubles per consecutive failure,
+  /// capped at the max_retries exponent.
   std::chrono::milliseconds initial_backoff{10};
-  double backoff_multiplier = 2.0;
   /// Seed for the +-25% jitter on every backoff wait (deterministic per
   /// engine; keeps a fleet of engines from retrying in lockstep).
   uint64_t jitter_seed = 0;
@@ -92,9 +91,6 @@ struct ServingOptions {
   /// many requests are queued. Bounds both memory and the worst-case
   /// answer staleness a queued request can observe.
   size_t max_queue_depth = 1024;
-  /// Batch coalescing: one pump drains at most this many queued
-  /// requests into a single BatchCost sweep over one pinned generation.
-  size_t max_batch = 256;
   /// Prices coalesced sweeps in parallel when given (not owned; may be
   /// the builder's pool — concurrent ParallelFor regions are safe).
   /// Null prices serially.
@@ -104,9 +100,6 @@ struct ServingOptions {
   std::chrono::milliseconds default_deadline{0};
   /// Reseal retry/backoff/degradation policy (see MaintenancePolicy).
   MaintenancePolicy maintenance;
-  /// Bound on the maintenance-event ring MaintenanceEvents() serves;
-  /// older events fall off the front.
-  size_t max_maintenance_events = 64;
 };
 
 /// One answered cost question: the workload cost plus the id of the
@@ -206,6 +199,13 @@ struct ServingStats {
 /// heap-side (see docs/SERVING.md).
 class ServingEngine {
  public:
+  /// Batch coalescing: one pump drains at most this many queued
+  /// requests into a single BatchCost sweep over one pinned generation.
+  static constexpr size_t kMaxBatch = 256;
+  /// Bound on the maintenance-event ring MaintenanceEvents() serves;
+  /// older events fall off the front.
+  static constexpr size_t kMaxMaintenanceEvents = 64;
+
   ServingEngine(WorkloadCacheBuilder* builder,
                 const std::vector<Query>* queries,
                 WorkloadCacheResult initial, ServingOptions options = {});
@@ -257,7 +257,7 @@ class ServingEngine {
       IndexConfig config,
       std::chrono::milliseconds deadline = std::chrono::milliseconds(0));
 
-  /// Drains up to max_batch queued requests, answers expired ones with
+  /// Drains up to kMaxBatch queued requests, answers expired ones with
   /// kDeadlineExceeded, prices the rest in one BatchCost sweep against
   /// one pinned generation, and fulfils their futures. Returns how many
   /// futures were fulfilled (0 = queue was empty). If the pricing sweep
@@ -322,7 +322,7 @@ class ServingEngine {
 
   /// The bounded maintenance-event ring, oldest first: every reseal
   /// outcome, scheduled retry, degradation, and recovery, timestamped.
-  /// At most options.max_maintenance_events entries are retained.
+  /// At most kMaxMaintenanceEvents entries are retained.
   std::vector<MaintenanceEvent> MaintenanceEvents() const;
 
   /// Monotonic shed/failure counters (see ServingStats).

@@ -22,7 +22,7 @@ using RowIdx = int64_t;
 class TableData {
  public:
   explicit TableData(const TableDef& def)
-      : table_id_(def.id), columns_(def.columns.size()) {}
+      : columns_(def.columns.size()) {}
 
   /// Appends one row; `values` must have one entry per column.
   void AppendRow(const std::vector<Value>& values) {
@@ -36,7 +36,6 @@ class TableData {
     for (auto& c : columns_) c.reserve(rows);
   }
 
-  TableId table_id() const { return table_id_; }
   int64_t NumRows() const {
     return columns_.empty() ? 0 : static_cast<int64_t>(columns_[0].size());
   }
@@ -50,7 +49,6 @@ class TableData {
   }
 
  private:
-  TableId table_id_;
   std::vector<std::vector<Value>> columns_;
 };
 

@@ -161,15 +161,15 @@ StatusOr<WorkloadCacheResult> WorkloadCacheBuilder::BuildAll(
   return result;
 }
 
-Status WorkloadCacheBuilder::RebuildQueries(
+StatusOr<WorkloadCacheResult> WorkloadCacheBuilder::RebuildQueries(
     const std::vector<std::string>& names, const std::vector<Query>& queries,
-    WorkloadCacheResult* result, WorkloadCacheStats* rebuild_totals) {
-  if (result->sealed.size() != queries.size() ||
-      result->per_query.size() != queries.size() ||
-      result->stamps.size() != queries.size()) {
+    const WorkloadCacheResult& base, WorkloadCacheStats* rebuild_totals) {
+  if (base.sealed.size() != queries.size() ||
+      base.per_query.size() != queries.size() ||
+      base.stamps.size() != queries.size()) {
     return Status::InvalidArgument(
         "reseal: result is not parallel to queries (" +
-        std::to_string(result->sealed.size()) + " caches, " +
+        std::to_string(base.sealed.size()) + " caches, " +
         std::to_string(queries.size()) + " queries) — pass BuildAll's"
         " inputs and output unchanged (restored snapshots:"
         " ResultFromSnapshot)");
@@ -198,8 +198,6 @@ Status WorkloadCacheBuilder::RebuildQueries(
   // a stale query re-pays its own optimizer calls, not its neighbours').
   store_.InvalidateTables(RefreshTableFingerprints(queries));
 
-  // Built into scratch and installed only after every query succeeded,
-  // so an error leaves `result` exactly as it was — never half-updated.
   // Rebuilt queries reseal against the *current* universe, while
   // untouched queries keep their narrower sealed form — which prices
   // the new ids at base cost, bit-identical to what a cold rebuild
@@ -217,33 +215,20 @@ Status WorkloadCacheBuilder::RebuildQueries(
     rebuild_totals->seal_ms = seal_ms;
   }
 
+  WorkloadCacheResult next = base;
   std::map<TableId, uint64_t> fp_cache;
   for (size_t j = 0; j < targets.size(); ++j) {
     const size_t i = targets[j];
-    result->sealed[i] = std::move(fresh_sealed[j]);
-    result->per_query[i] = fresh_stats[j];
+    next.sealed[i] = std::move(fresh_sealed[j]);
+    next.per_query[i] = fresh_stats[j];
     // Re-stamp against the drifted world these rebuilds consumed;
     // untouched queries keep the stamps of the world they were built
     // under.
-    result->stamps[i] = QueryStamp(queries[i], &fp_cache);
+    next.stamps[i] = QueryStamp(queries[i], &fp_cache);
   }
-  result->totals = SumCounts(result->per_query, result->sealed);
-  result->totals.wall_ms = wall_ms;
-  result->totals.seal_ms = seal_ms;
-  return Status::OK();
-}
-
-StatusOr<WorkloadCacheResult> WorkloadCacheBuilder::RebuildQueriesInto(
-    const std::vector<std::string>& names, const std::vector<Query>& queries,
-    const WorkloadCacheResult& base, WorkloadCacheStats* rebuild_totals) {
-  // The copy is the whole point: `base` may be a published serving
-  // generation with concurrent readers, so nothing below may write
-  // through it. RebuildQueries only ever mutates the result it is
-  // handed, which is this copy — and copying shares every cache's
-  // arena, so it costs refcount bumps, not cache bytes.
-  WorkloadCacheResult next = base;
-  PINUM_RETURN_IF_ERROR(
-      RebuildQueries(names, queries, &next, rebuild_totals));
+  next.totals = SumCounts(next.per_query, next.sealed);
+  next.totals.wall_ms = wall_ms;
+  next.totals.seal_ms = seal_ms;
   return next;
 }
 
@@ -276,17 +261,13 @@ uint64_t WorkloadCacheBuilder::QueryStamp(
   }
   fold(knobs.hooks.export_all_plans ? 1 : 0);
   fold(knobs.hooks.disable_dominance_pruning ? 1 : 0);
+  // Classic builds fold a constant 1 (the value of a retired NLJ switch)
+  // so that stamps already written to snapshots stay valid.
   fold(options_.mode == CacheBuildMode::kPinum
            ? static_cast<uint64_t>(options_.pinum.nlj_extreme_calls) * 2 +
                  (options_.pinum.nlj_export_all ? 1 : 0)
-           : (options_.inum.include_nlj_plans ? 1 : 0));
+           : 1);
   return h;
-}
-
-std::vector<size_t> WorkloadCacheBuilder::StaleQueries(
-    const WorkloadSnapshot& snapshot,
-    const std::vector<Query>& queries) const {
-  return StaleQueries(snapshot.query_names, snapshot.query_stamps, queries);
 }
 
 std::vector<size_t> WorkloadCacheBuilder::StaleQueries(

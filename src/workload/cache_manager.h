@@ -140,10 +140,14 @@ class WorkloadCacheBuilder {
   /// Incremental reseal: re-runs the optimizer and reseals *only* the
   /// named queries — the ones a drift staled (stats re-ANALYZEd,
   /// candidates appended; see src/workload/drift.h and StaleQueries) —
-  /// updating `result` in place. `queries` and `result` must be
-  /// BuildAll's inputs and output (parallel vectors); every name must
-  /// resolve to a query. Costs k stale queries' worth of optimizer
-  /// calls instead of a whole-workload rebuild:
+  /// and returns a copy of `base` with those queries' slots replaced.
+  /// `base` is never written, so it may be a published serving
+  /// generation that readers keep serving from throughout; the copy
+  /// shares every untouched cache's arena, so it costs refcount bumps,
+  /// not cache bytes. `queries` and `base` must be BuildAll's inputs
+  /// and output (parallel vectors); every name must resolve to a query.
+  /// Costs k stale queries' worth of optimizer calls instead of a
+  /// whole-workload rebuild:
   ///
   ///  - shared access-cost entries are invalidated per table, not
   ///    wholesale: tables whose epoch fingerprint (schema slice, stats,
@@ -157,23 +161,11 @@ class WorkloadCacheBuilder {
   ///    bit-identical to a cold BuildAll under the drifted world (the
   ///    differential suite in tests/incremental_reseal_test.cc pins
   ///    this across evaluator and advisor paths);
-  ///  - result->totals is recomputed from the updated per-query rows and
-  ///    sealed caches (wall_ms/seal_ms become this rebuild's times); the
-  ///    rebuild's own accounting lands in `rebuild_totals` when given.
-  Status RebuildQueries(const std::vector<std::string>& names,
-                        const std::vector<Query>& queries,
-                        WorkloadCacheResult* result,
-                        WorkloadCacheStats* rebuild_totals = nullptr);
-
-  /// The rebuild-into-copy variant RebuildQueries for always-on serving:
-  /// `base` is left completely untouched (readers may keep serving from
-  /// it throughout), the rebuild lands in a copy that is returned only
-  /// when every per-query build succeeded. This is what the serving
-  /// engine's generation swap publishes: the copy becomes generation
-  /// N+1 while generation N keeps answering in-flight requests. Same
-  /// contract as RebuildQueries otherwise (parallel vectors, per-table
-  /// store invalidation, current-universe reseal of the named queries).
-  StatusOr<WorkloadCacheResult> RebuildQueriesInto(
+  ///  - the returned totals are recomputed from the updated per-query
+  ///    rows and sealed caches (wall_ms/seal_ms become this rebuild's
+  ///    times); the rebuild's own accounting lands in `rebuild_totals`
+  ///    when given.
+  StatusOr<WorkloadCacheResult> RebuildQueries(
       const std::vector<std::string>& names,
       const std::vector<Query>& queries, const WorkloadCacheResult& base,
       WorkloadCacheStats* rebuild_totals = nullptr);
@@ -193,19 +185,14 @@ class WorkloadCacheBuilder {
                       std::map<TableId, uint64_t>* table_fp_cache =
                           nullptr) const;
 
-  /// Indices into `queries` whose snapshot entry is stale: the name at
+  /// Indices into `queries` whose stored entry is stale: the name at
   /// that position is missing or different, or the stored stamp differs
-  /// from the live QueryStamp. Pass the result's names straight to
-  /// RebuildQueries after turning the snapshot into a result
-  /// (ResultFromSnapshot); an empty return means the snapshot serves the
-  /// whole workload as-is.
-  std::vector<size_t> StaleQueries(const WorkloadSnapshot& snapshot,
-                                   const std::vector<Query>& queries) const;
-
-  /// The same staleness diff over bare parallel vectors: what a
-  /// restored result has in hand (ResultFromSnapshot and
-  /// LoadSnapshotMapped return the names separately and the stamps
-  /// inside the result).
+  /// from the live QueryStamp. `names` and `stamps` are what a restored
+  /// snapshot carries (WorkloadSnapshot::query_names and query_stamps,
+  /// or LoadSnapshotMapped's names and result stamps). Pass the result's
+  /// names straight to RebuildQueries after turning the snapshot into a
+  /// result (ResultFromSnapshot); an empty return means the snapshot
+  /// serves the whole workload as-is.
   std::vector<size_t> StaleQueries(const std::vector<std::string>& names,
                                    const std::vector<uint64_t>& stamps,
                                    const std::vector<Query>& queries) const;

@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -13,7 +11,6 @@
 #include "common/bitset64.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
-#include "common/simd.h"
 #include "common/status.h"
 #include "common/str_util.h"
 #include "common/thread_pool.h"
@@ -164,56 +161,6 @@ TEST(StrUtilTest, StrJoin) {
 TEST(StrUtilTest, AsciiUpper) {
   EXPECT_EQ(AsciiUpper("select"), "SELECT");
   EXPECT_EQ(AsciiUpper("MiXeD_123"), "MIXED_123");
-}
-
-// The SIMD helpers must be bit-identical to the scalar loops they
-// replace for every size (full vectors plus ragged tails) and for the
-// values the serving layer feeds them — non-negative costs with +inf as
-// the infeasibility sentinel. The whole sealed-cost property suite
-// depends on this equivalence.
-TEST(SimdTest, MinFoldMatchesScalarOnEverySizeAndTail) {
-  const double inf = std::numeric_limits<double>::infinity();
-  Rng rng(7);
-  for (size_t n = 0; n <= 67; ++n) {
-    std::vector<double> dst(n);
-    std::vector<double> src(n);
-    for (size_t i = 0; i < n; ++i) {
-      dst[i] = rng.Chance(0.2) ? inf : rng.NextDouble() * 1e6;
-      src[i] = rng.Chance(0.2) ? inf : rng.NextDouble() * 1e6;
-    }
-    std::vector<double> expected(dst);
-    for (size_t i = 0; i < n; ++i) {
-      expected[i] = std::min(expected[i], src[i]);
-    }
-    simd::MinFoldInto(dst.data(), src.data(), n);
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(dst[i], expected[i]) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(SimdTest, MinFoldKeepsEqualValuesBitIdentical) {
-  // Equal operands (the common "index cannot improve this term" case)
-  // must keep the destination's exact value.
-  std::vector<double> dst(13, 42.5);
-  std::vector<double> src(13, 42.5);
-  simd::MinFoldInto(dst.data(), src.data(), dst.size());
-  for (double v : dst) EXPECT_EQ(v, 42.5);
-}
-
-TEST(SimdTest, FillCoversRaggedTails) {
-  const double inf = std::numeric_limits<double>::infinity();
-  for (size_t n = 0; n <= 67; ++n) {
-    std::vector<double> dst(n + 1, -1.0);  // +1 canary past the fill
-    simd::Fill(dst.data(), inf, n);
-    for (size_t i = 0; i < n; ++i) EXPECT_EQ(dst[i], inf) << "n=" << n;
-    EXPECT_EQ(dst[n], -1.0) << "fill overran at n=" << n;
-  }
-}
-
-TEST(SimdTest, BackendNameIsNonEmpty) {
-  EXPECT_NE(simd::BackendName(), nullptr);
-  EXPECT_NE(std::string(simd::BackendName()), "");
 }
 
 TEST(ThreadPoolTest, RunsEveryIteration) {

@@ -666,12 +666,64 @@ TEST_F(FaultInjectionTest, PersistentFaultDegradesThenAutoRecovers) {
   EXPECT_TRUE(saw_recovered);
   EXPECT_TRUE(saw_succeeded);
   EXPECT_LE(engine.MaintenanceEvents().size(),
-            ServingOptions{}.max_maintenance_events);
+            ServingEngine::kMaxMaintenanceEvents);
 
   const ServingStats stats = engine.Stats();
   EXPECT_GE(stats.reseal_failures, 2u);
   EXPECT_GE(stats.recoveries, 1u);
   EXPECT_GT(stats.reseal_attempts, stats.reseal_failures);
+}
+
+TEST_F(FaultInjectionTest, RetryBackoffDoublesUpToTheRetryCap) {
+  WorkloadCacheResult built;
+  auto builder = MakeBuilder(&built);
+  ServingOptions options;
+  options.maintenance.max_retries = 2;
+  options.maintenance.initial_backoff = std::chrono::milliseconds(8);
+  options.maintenance.jitter_seed = FaultSeed();
+  ServingEngine engine(builder.get(), &queries(), std::move(built), options);
+
+  FailPoint::Config fault;
+  fault.status = Status::Unavailable("stats store offline");
+  FailPoint::Arm("workload.build_query", fault);
+  engine.StartDriftWatcher(std::chrono::milliseconds(2));
+  engine.WithWorld([&] { Drift(/*seed=*/FaultSeed() * 100 + 17); });
+
+  auto retries = [&] {
+    std::vector<MaintenanceEvent> out;
+    for (const MaintenanceEvent& event : engine.MaintenanceEvents()) {
+      if (event.kind == MaintenanceEvent::Kind::kRetryScheduled) {
+        out.push_back(event);
+      }
+    }
+    return out;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (retries().size() < 4 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  engine.StopDriftWatcher();
+
+  // The k-th consecutive failure waits 8 ms * 2^min(k - 1, max_retries)
+  // scaled by a jitter factor in [0.75, 1.25), truncated to whole ms.
+  const std::vector<MaintenanceEvent> events = retries();
+  ASSERT_GE(events.size(), 4u);
+  int most_failures = 0;
+  for (const MaintenanceEvent& event : events) {
+    ASSERT_GE(event.consecutive_failures, 1);
+    const int exponent = std::min(event.consecutive_failures - 1, 2);
+    const double b = 8.0 * static_cast<double>(1 << exponent);
+    EXPECT_GE(event.backoff.count(), static_cast<int64_t>(0.75 * b))
+        << "after " << event.consecutive_failures << " failures";
+    EXPECT_LE(event.backoff.count(), static_cast<int64_t>(1.25 * b))
+        << "after " << event.consecutive_failures << " failures";
+    most_failures = std::max(most_failures, event.consecutive_failures);
+  }
+  // Four retries reach past the cap: the fourth failure waits as long as
+  // the third.
+  EXPECT_GE(most_failures, 4);
 }
 
 // The randomized fault-schedule stress case (the CI fault matrix runs

@@ -58,10 +58,10 @@ void RunDifferentialCase(const Catalog& catalog,
   }
 
   WorkloadCacheStats rebuild_totals;
-  const Status st = incremental.RebuildQueries(drift->stale_queries,
-                                               queries, &*built,
-                                               &rebuild_totals);
-  ASSERT_TRUE(st.ok()) << st.ToString();
+  auto rebuilt = incremental.RebuildQueries(drift->stale_queries, queries,
+                                            *built, &rebuild_totals);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  *built = std::move(*rebuilt);
 
   // The comparator: a cold whole-workload build under the drifted
   // world, from a fresh builder with an empty shared store.
@@ -237,8 +237,9 @@ TEST_F(IncrementalResealTest, UntouchedQueriesKeepTheirSealedForm) {
   }
   const std::vector<QueryBuildStats> per_query_before = built->per_query;
 
-  ASSERT_TRUE(
-      builder.RebuildQueries(drift->stale_queries, queries, &*built).ok());
+  auto rebuilt = builder.RebuildQueries(drift->stale_queries, queries, *built);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  *built = std::move(*rebuilt);
   const IndexId grown_universe = set.NumIndexIds();
   for (size_t i = 0; i < queries.size(); ++i) {
     const bool stale =
@@ -260,11 +261,12 @@ TEST_F(IncrementalResealTest, UntouchedQueriesKeepTheirSealedForm) {
 
 TEST_F(IncrementalResealTest, ScratchReuseAcrossResealServesLiveCosts) {
   // Regression: BatchCostWithExtras reuses pinned contexts whenever the
-  // scratch shape and base match, but RebuildQueries replaces sealed
-  // caches in place — before the seal-id check, a scratch pinned before
-  // the reseal kept serving the *old* generation's term layout (silently
-  // wrong or out-of-range costs). Every post-reseal answer must be
-  // bit-identical to a fresh-scratch evaluation.
+  // scratch shape and base match, but assigning RebuildQueries' result
+  // over the evaluator's vector replaces sealed caches — before the
+  // seal-id check, a scratch pinned before the reseal kept serving the
+  // *old* generation's term layout (silently wrong or out-of-range
+  // costs). Every post-reseal answer must be bit-identical to a
+  // fresh-scratch evaluation.
   CandidateSet set = fix_->set;
   StatsCatalog stats = fix_->stats();
   const std::vector<Query>& queries = fix_->queries();
@@ -290,11 +292,13 @@ TEST_F(IncrementalResealTest, ScratchReuseAcrossResealServesLiveCosts) {
   grown.push_back(extras[0]);
 
   // Drift hard enough that every query's costs actually move, then
-  // reseal in place — the scratches' contexts now point at dead seals.
+  // reseal over the evaluator's vector — the scratches' contexts now
+  // point at dead seals.
   auto drift = ApplyDrift(queries, &set, &stats, queries.size(), 61);
   ASSERT_TRUE(drift.ok()) << drift.status().ToString();
-  ASSERT_TRUE(
-      builder.RebuildQueries(drift->stale_queries, queries, &*built).ok());
+  auto rebuilt = builder.RebuildQueries(drift->stale_queries, queries, *built);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  *built = std::move(*rebuilt);
 
   struct Case {
     const char* name;
@@ -353,8 +357,9 @@ TEST_F(IncrementalResealTest, ScratchBoundToOneCacheVectorAssertsInDebug) {
       (void)eval_b.BatchCostWithExtras({}, extras, &scratch),
       "EvalScratch reused with a different evaluator's cache vector");
 
-  // Same-vector reuse stays allowed — including after an in-place
-  // reseal, which ScratchReuseAcrossResealServesLiveCosts pins above.
+  // Same-vector reuse stays allowed — including after a reseal is
+  // assigned over the vector, which
+  // ScratchReuseAcrossResealServesLiveCosts pins above.
   const std::vector<double> again =
       eval_a.BatchCostWithExtras({}, extras, &scratch);
   EXPECT_EQ(again.size(), extras.size());
@@ -363,8 +368,8 @@ TEST_F(IncrementalResealTest, ScratchBoundToOneCacheVectorAssertsInDebug) {
 TEST_F(IncrementalResealTest, MovedCachesKeepTheirSealAndPinnedContexts) {
   // Regression: SealedCache's move operations transfer the arena handle
   // but KEEP the seal id — a move is the same immutable seal changing
-  // address, not a reseal. Vector reallocation (RebuildQueries growing
-  // built->sealed, a generation copy reserving capacity) move-constructs
+  // address, not a reseal. Vector reallocation (a growing cache
+  // vector, a generation copy reserving capacity) move-constructs
   // every element; if moves drew fresh seal ids, every pinned
   // EvalScratch context would look stale afterwards and the reuse/extend
   // fast paths would silently degrade into a full re-prepare storm.
@@ -433,13 +438,14 @@ TEST_F(IncrementalResealTest, UnknownNameIsInvalidArgument) {
   auto built = builder.BuildAll(fix_->queries());
   ASSERT_TRUE(built.ok());
   const Status st =
-      builder.RebuildQueries({"no_such_query"}, fix_->queries(), &*built);
+      builder.RebuildQueries({"no_such_query"}, fix_->queries(), *built)
+          .status();
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 
   WorkloadCacheResult truncated = std::move(*built);
   truncated.sealed.pop_back();
   const Status parallel_st =
-      builder.RebuildQueries({}, fix_->queries(), &truncated);
+      builder.RebuildQueries({}, fix_->queries(), truncated).status();
   EXPECT_EQ(parallel_st.code(), StatusCode::kInvalidArgument);
 }
 
@@ -526,7 +532,7 @@ TEST(IncrementalResealMiniTest, SharedStoreKeepsValidEntriesAcrossDrift) {
   // No drift: the rebuilt clone shares everything.
   WorkloadCacheStats totals;
   ASSERT_TRUE(
-      builder.RebuildQueries({"clone"}, repeated, &*built, &totals).ok());
+      builder.RebuildQueries({"clone"}, repeated, *built, &totals).ok());
   EXPECT_EQ(totals.access_cost_calls, 0);
   EXPECT_EQ(totals.access_calls_saved, 1);
 
@@ -535,7 +541,7 @@ TEST(IncrementalResealMiniTest, SharedStoreKeepsValidEntriesAcrossDrift) {
   DriftTableStats(mini.mini.db.catalog(), mini.mini.d1, 2.0,
                   &mini.mini.db.stats());
   ASSERT_TRUE(
-      builder.RebuildQueries({"clone"}, repeated, &*built, &totals).ok());
+      builder.RebuildQueries({"clone"}, repeated, *built, &totals).ok());
   EXPECT_GT(totals.access_cost_calls, 0);
 }
 

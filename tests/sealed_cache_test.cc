@@ -11,7 +11,6 @@
 #include "advisor/candidate_generator.h"
 #include "advisor/greedy_advisor.h"
 #include "common/rng.h"
-#include "common/simd.h"
 #include "inum/sealed_cache.h"
 #include "test_util.h"
 #include "whatif/candidate_set.h"
@@ -236,8 +235,7 @@ TEST_F(SealedCacheTest, SweepEntryPointsMatchSingleExtraCalls) {
             static_cast<uint32_t>(e);
       }
     }
-    std::vector<double> inverted(unique);
-    simd::Fill(inverted.data(), ctx.base_cost(), unique);
+    std::vector<double> inverted(unique, ctx.base_cost());
     sealed.CostActiveExtrasInto(&ctx, position_of_id.data(),
                                 position_of_id.size(), inverted.data());
     for (size_t e = 0; e < unique; ++e) {

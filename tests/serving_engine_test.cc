@@ -192,6 +192,33 @@ TEST_F(ServingEngineTest, FullQueueShedsUnavailableInsteadOfHanging) {
   EXPECT_EQ(c.value().get().cost, expected);
 }
 
+TEST_F(ServingEngineTest, OnePumpDrainsAtMostKMaxBatch) {
+  WorkloadCacheResult built;
+  auto builder = MakeBuilder(&built);
+  ServingEngine engine(builder.get(), &queries(), std::move(built));
+
+  // No dispatcher: only the explicit pumps below drain the queue.
+  const size_t submitted = ServingEngine::kMaxBatch + 7;
+  std::vector<std::future<CostAnswer>> futures;
+  for (size_t i = 0; i < submitted; ++i) {
+    auto future = engine.SubmitCost(IndexConfig{});
+    ASSERT_TRUE(future.ok()) << future.status().ToString();
+    futures.push_back(std::move(future.value()));
+  }
+  EXPECT_EQ(engine.Pending(), submitted);
+
+  EXPECT_EQ(engine.PumpOnce(), ServingEngine::kMaxBatch);
+  EXPECT_EQ(engine.Pending(), 7u);
+  EXPECT_EQ(engine.PumpOnce(), 7u);
+  EXPECT_EQ(engine.Pending(), 0u);
+
+  WorkloadCostEvaluator eval(&engine.Pin()->sealed());
+  const double expected = eval.Cost(IndexConfig{});
+  for (std::future<CostAnswer>& future : futures) {
+    EXPECT_EQ(future.get().cost, expected);
+  }
+}
+
 TEST_F(ServingEngineTest, DispatcherAnswersSubmissionsInBackground) {
   WorkloadCacheResult built;
   auto builder = MakeBuilder(&built);

@@ -300,7 +300,7 @@ TEST_F(SnapshotMmapTest, LoadSnapshotMappedStalenessAndResealAfterDrift) {
   // drifted world succeeds (stats drift is staleness, not an epoch
   // break), StaleQueries over the returned names/stamps names exactly
   // the touched queries, and RebuildQueries over the mapped result
-  // reseals them in place — heap caches replacing borrowed views — with
+  // reseals them — heap caches replacing borrowed views — with
   // every answer bit-identical to a cold build of the drifted world.
   const std::vector<Query>& queries = fix_->star->queries();
   CandidateSet set = fix_->star->set;
@@ -321,7 +321,9 @@ TEST_F(SnapshotMmapTest, LoadSnapshotMappedStalenessAndResealAfterDrift) {
   EXPECT_EQ(got, QueriesTouchingTables(queries, {victim}));
   ASSERT_FALSE(got.empty());
 
-  ASSERT_TRUE(drifted_builder.RebuildQueries(got, queries, &*mapped).ok());
+  auto rebuilt = drifted_builder.RebuildQueries(got, queries, *mapped);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  *mapped = std::move(*rebuilt);
   auto cold = drifted_builder.BuildAll(queries);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   Rng rng(631);

@@ -349,8 +349,8 @@ TEST_F(SnapshotTest, StatsDriftLoadsAndReportsStaleQueries) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   const std::vector<Query>& queries = fix_->star->queries();
-  const std::vector<size_t> stale =
-      drifted_builder.StaleQueries(*loaded, queries);
+  const std::vector<size_t> stale = drifted_builder.StaleQueries(
+      loaded->query_names, loaded->query_stamps, queries);
   const std::vector<std::string> want =
       QueriesTouchingTables(queries, {victim});
   std::vector<std::string> got;
@@ -358,7 +358,10 @@ TEST_F(SnapshotTest, StatsDriftLoadsAndReportsStaleQueries) {
   EXPECT_EQ(got, want);
   // Against the unchanged world the same snapshot reports nothing
   // stale.
-  EXPECT_TRUE(fix_->builder->StaleQueries(*loaded, queries).empty());
+  EXPECT_TRUE(fix_->builder
+                  ->StaleQueries(loaded->query_names, loaded->query_stamps,
+                                 queries)
+                  .empty());
 }
 
 TEST_F(SnapshotTest, GrownUniverseLoadsAsPrefixAndStalesTouchedQueries) {
@@ -383,8 +386,8 @@ TEST_F(SnapshotTest, GrownUniverseLoadsAsPrefixAndStalesTouchedQueries) {
   EXPECT_LT(loaded->universe, grown.NumIndexIds());
 
   const std::vector<Query>& queries = fix_->star->queries();
-  const std::vector<size_t> stale =
-      grown_builder.StaleQueries(*loaded, queries);
+  const std::vector<size_t> stale = grown_builder.StaleQueries(
+      loaded->query_names, loaded->query_stamps, queries);
   std::vector<std::string> got;
   for (size_t i : stale) got.push_back(queries[i].name);
   EXPECT_EQ(got, QueriesTouchingTables(
@@ -469,8 +472,9 @@ TEST_F(SnapshotTest, IncrementalSavePatchesOnlyResealedSections) {
   const size_t k = drift->stale_queries.size();
   ASSERT_GT(k, 0u);
   ASSERT_LT(k, queries.size());
-  ASSERT_TRUE(
-      builder.RebuildQueries(drift->stale_queries, queries, &*built).ok());
+  auto rebuilt = builder.RebuildQueries(drift->stale_queries, queries, *built);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  *built = std::move(*rebuilt);
 
   ASSERT_TRUE(builder.SaveSnapshot(resaved_path, *built, queries).ok());
 
@@ -481,7 +485,9 @@ TEST_F(SnapshotTest, IncrementalSavePatchesOnlyResealedSections) {
   // And the re-saved file round-trips into the resealed serving state.
   auto loaded = builder.LoadSnapshot(resaved_path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(builder.StaleQueries(*loaded, queries).empty());
+  EXPECT_TRUE(
+      builder.StaleQueries(loaded->query_names, loaded->query_stamps, queries)
+          .empty());
   Rng rng(509);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const IndexConfig config = RandomAtomicConfig(queries[qi], set, &rng);
@@ -513,7 +519,8 @@ TEST_F(SnapshotTest, DriftBetweenBuildAndSaveStillReadsAsStale) {
   auto loaded = builder.LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   std::vector<std::string> got;
-  for (size_t i : builder.StaleQueries(*loaded, queries)) {
+  for (size_t i : builder.StaleQueries(loaded->query_names,
+                                       loaded->query_stamps, queries)) {
     got.push_back(queries[i].name);
   }
   EXPECT_EQ(got, QueriesTouchingTables(queries, {victim}));
@@ -638,7 +645,10 @@ TEST_F(SnapshotTest, CostModelChangeStalesEveryQuery) {
   const std::vector<Query>& queries = fix_->star->queries();
   auto loaded = fix_->builder->LoadSnapshot(fix_->path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_TRUE(fix_->builder->StaleQueries(*loaded, queries).empty());
+  ASSERT_TRUE(fix_->builder
+                  ->StaleQueries(loaded->query_names, loaded->query_stamps,
+                                 queries)
+                  .empty());
   std::vector<size_t> every(queries.size());
   for (size_t i = 0; i < every.size(); ++i) every[i] = i;
 
@@ -656,7 +666,9 @@ TEST_F(SnapshotTest, CostModelChangeStalesEveryQuery) {
     change(&options.pinum.base_knobs);
     WorkloadCacheBuilder changed(&fix_->star->catalog(), &fix_->star->set,
                                  &fix_->star->stats(), options);
-    EXPECT_EQ(changed.StaleQueries(*loaded, queries), every);
+    EXPECT_EQ(changed.StaleQueries(loaded->query_names, loaded->query_stamps,
+                                   queries),
+              every);
   }
 }
 
@@ -766,7 +778,10 @@ TEST_P(FamilySnapshotTest, RoundTripAndAdvisorBitIdentical) {
   auto loaded = builder.LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->sealed.size(), fix->queries().size());
-  EXPECT_TRUE(builder.StaleQueries(*loaded, fix->queries()).empty());
+  EXPECT_TRUE(builder
+                  .StaleQueries(loaded->query_names, loaded->query_stamps,
+                                fix->queries())
+                  .empty());
 
   Rng rng(601);
   for (size_t qi = 0; qi < fix->queries().size(); ++qi) {
@@ -833,10 +848,11 @@ TEST_P(FamilySnapshotTest, RestoredTotalsMatchTheSavingBuild) {
   // Nothing drifted, so the rebuilt caches equal the restored ones.
   const std::vector<std::string> names = {fix->queries().front().name,
                                           fix->queries().back().name};
-  ASSERT_TRUE(builder.RebuildQueries(names, fix->queries(), &*mapped).ok());
+  auto resealed = builder.RebuildQueries(names, fix->queries(), *mapped);
+  ASSERT_TRUE(resealed.ok()) << resealed.status().ToString();
   {
     SCOPED_TRACE("mapped, then resealed");
-    expect_totals(mapped->totals);
+    expect_totals(resealed->totals);
   }
   std::remove(path.c_str());
 }

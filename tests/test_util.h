@@ -68,7 +68,9 @@ inline void ExpectSameAdvisorResult(const AdvisorResult& a,
   EXPECT_EQ(a.workload_cost_after, b.workload_cost_after);
   EXPECT_EQ(a.total_size_bytes, b.total_size_bytes);
   EXPECT_EQ(a.evaluations, b.evaluations);
-  if (same_cost_path) EXPECT_EQ(a.full_evaluations, b.full_evaluations);
+  if (same_cost_path) {
+    EXPECT_EQ(a.full_evaluations, b.full_evaluations);
+  }
 }
 
 /// Random atomic configuration over the candidates relevant to `q` (at
