@@ -58,26 +58,21 @@ const std::vector<double>& WorkloadCostEvaluator::BatchCostWithExtras(
 
   // One id -> sweep-slot map, built once and shared by every query's
   // inverted sweep (walk the cache's posting-bearing ids, not all
-  // extras). A duplicated swept id cannot be mapped to two slots, so
-  // that (advisor-impossible) shape falls back to the per-extra sweep.
-  IndexId max_id = -1;
-  for (const IndexId id : extras) max_id = std::max(max_id, id);
-  // When every extra is negative (all out of universe) — or there are no
-  // extras at all — max_id stays -1 and there is nothing to overlay:
-  // every row is exactly Cost(base). That case is handled explicitly
-  // below (rows filled with the pinned base cost, no sweep) instead of
-  // leaning on the inverted sweep walking a zero-size map. Contexts are
-  // still pinned/extended so the next real sweep reuses them warm.
-  const bool empty_sweep = max_id < 0;
-  const size_t map_size = static_cast<size_t>(max_id + 1);
+  // extras). A repeated id maps to its first slot; the later slots copy
+  // that slot's total after the reduction. The map spans the widest
+  // seal's universe and no further: no id at or beyond it bears
+  // postings anywhere, so such extras (and negative ones) keep the base
+  // cost without an entry, however large they are.
+  size_t map_size = 0;
+  for (const SealedCache& cache : *caches_) {
+    map_size = std::max(map_size, cache.UniverseSize());
+  }
   scratch->position_of_id.assign(map_size, SealedCache::kNotSwept);
-  bool duplicate_ids = false;
   for (size_t e = 0; e < num_extras; ++e) {
     const IndexId id = extras[e];
-    if (id < 0) continue;
+    if (id < 0 || static_cast<size_t>(id) >= map_size) continue;
     uint32_t& slot = scratch->position_of_id[static_cast<size_t>(id)];
-    duplicate_ids = duplicate_ids || slot != SealedCache::kNotSwept;
-    slot = static_cast<uint32_t>(e);
+    if (slot == SealedCache::kNotSwept) slot = static_cast<uint32_t>(e);
   }
   const uint32_t* position_of_id = scratch->position_of_id.data();
 
@@ -102,14 +97,8 @@ const std::vector<double>& WorkloadCostEvaluator::BatchCostWithExtras(
     }
     double* row = scratch->per_query_costs.data() +
                   static_cast<size_t>(q) * num_extras;
-    if (empty_sweep) {
-      std::fill(row, row + num_extras, ctx.base_cost());
-    } else if (duplicate_ids) {
-      cache.CostExtrasInto(&ctx, extras.data(), num_extras, row);
-    } else {
-      std::fill(row, row + num_extras, ctx.base_cost());
-      cache.CostActiveExtrasInto(&ctx, position_of_id, map_size, row);
-    }
+    std::fill(row, row + num_extras, ctx.base_cost());
+    cache.CostActiveExtrasInto(&ctx, position_of_id, map_size, row);
   };
   if (pool_ == nullptr || num_queries <= 1) {
     for (size_t q = 0; q < num_queries; ++q) {
@@ -129,6 +118,14 @@ const std::vector<double>& WorkloadCostEvaluator::BatchCostWithExtras(
   for (size_t q = 0; q < num_queries; ++q) {
     const double* row = scratch->per_query_costs.data() + q * num_extras;
     for (size_t e = 0; e < num_extras; ++e) scratch->totals[e] += row[e];
+  }
+  // A repeated id's later slots copy its first slot's total: both sum
+  // the same per-query costs in the same order, so the bits agree.
+  for (size_t e = 0; e < num_extras; ++e) {
+    const IndexId id = extras[e];
+    if (id < 0 || static_cast<size_t>(id) >= map_size) continue;
+    const uint32_t first = position_of_id[static_cast<size_t>(id)];
+    if (first != e) scratch->totals[e] = scratch->totals[first];
   }
   return scratch->totals;
 }
@@ -310,17 +307,6 @@ AdvisorResult RunGreedyAdvisor(const std::vector<SealedCache>& caches,
                                const AdvisorOptions& options) {
   return RunGreedyAdvisor(WorkloadCostEvaluator(&caches), candidates,
                           options);
-}
-
-AdvisorResult RunGreedyAdvisor(const std::vector<InumCache>& caches,
-                               const CandidateSet& candidates,
-                               const AdvisorOptions& options) {
-  std::vector<SealedCache> sealed;
-  sealed.reserve(caches.size());
-  for (const InumCache& cache : caches) {
-    sealed.push_back(SealedCache::Seal(cache, candidates.NumIndexIds()));
-  }
-  return RunGreedyAdvisor(sealed, candidates, options);
 }
 
 }  // namespace pinum

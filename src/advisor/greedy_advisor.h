@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "inum/cache.h"
 #include "inum/sealed_cache.h"
 #include "whatif/candidate_set.h"
 
@@ -35,9 +34,10 @@ namespace pinum {
 /// serial Cost() path uses — so the delta and batched paths return
 /// bit-identical workload costs.
 ///
-/// The evaluator consumes the serve-time SealedCache form only; seal the
-/// build-time InumCaches once (WorkloadCacheBuilder does this) and keep
-/// serving from the sealed vector.
+/// The evaluator consumes the serve-time SealedCache form only, and so
+/// does the advisor: WorkloadCacheBuilder hands out sealed caches, and a
+/// caller holding build-time InumCaches seals each once
+/// (SealedCache::Seal) before pricing.
 class WorkloadCostEvaluator {
  public:
   /// Reusable scratch for BatchCostWithExtras: per-query pinned contexts
@@ -65,7 +65,8 @@ class WorkloadCostEvaluator {
     /// The base configuration the contexts currently pin.
     IndexConfig pinned_base;
     bool pinned_valid = false;
-    /// id -> sweep slot map shared by every query's inverted sweep.
+    /// id -> sweep slot map shared by every query's inverted sweep, one
+    /// widest-seal universe long; a repeated id aliases to its first slot.
     std::vector<uint32_t> position_of_id;
     /// The cache vector this scratch's contexts belong to, recorded on
     /// first use. Contexts index one vector's seals; feeding them to an
@@ -96,10 +97,11 @@ class WorkloadCostEvaluator {
   /// Workload cost of base + {extras[i]} for every i, through the delta
   /// path; the returned reference (scratch->totals) is valid until the
   /// next call with the same scratch. result[i] is bit-identical to
-  /// Cost(base + {extras[i]}). Duplicate ids in `extras` are allowed
-  /// (each slot is priced independently); ids outside the universe and
-  /// ids already in `base` price as Cost(base). NOT thread-safe with
-  /// respect to `scratch`: one scratch, one caller at a time.
+  /// Cost(base + {extras[i]}). Duplicate ids in `extras` are allowed (a
+  /// repeated id is priced once and its later slots copy the first);
+  /// ids outside the universe, however large, and ids already in `base`
+  /// price as Cost(base). NOT thread-safe with respect to `scratch`: one
+  /// scratch, one caller at a time.
   const std::vector<double>& BatchCostWithExtras(
       const IndexConfig& base, const std::vector<IndexId>& extras,
       EvalScratch* scratch) const;
@@ -291,13 +293,6 @@ AdvisorResult RunGreedyAdvisor(const WorkloadCostEvaluator& evaluator,
 
 /// Convenience overload: serial pricing over already-sealed caches.
 AdvisorResult RunGreedyAdvisor(const std::vector<SealedCache>& caches,
-                               const CandidateSet& candidates,
-                               const AdvisorOptions& options);
-
-/// Convenience overload for freshly built caches: seals each once (the
-/// cheap, one-time serving conversion), then runs the greedy selection
-/// against the sealed forms.
-AdvisorResult RunGreedyAdvisor(const std::vector<InumCache>& caches,
                                const CandidateSet& candidates,
                                const AdvisorOptions& options);
 

@@ -623,26 +623,6 @@ double SealedCache::CostWithExtra(CostContext* ctx, IndexId extra) const {
                      posting_offsets_[static_cast<size_t>(extra) + 1]);
 }
 
-void SealedCache::CostExtrasInto(CostContext* ctx, const IndexId* extras,
-                                 size_t n, double* out) const {
-  assert(ctx->seal_id_ == seal_id_ &&
-         "CostContext is stale: the cache was resealed since PrepareContext");
-  // Most extras cannot lower any of this query's terms (their posting
-  // lists are empty — candidate indexes on other tables, or indexes the
-  // heap already beats), so the whole row starts as the base cost and
-  // only posting-bearing extras are priced individually.
-  std::fill(out, out + n, ctx->base_cost_);
-  const uint32_t* offsets = posting_offsets_.data();
-  for (size_t i = 0; i < n; ++i) {
-    const IndexId extra = extras[i];
-    if (extra < 0 || static_cast<size_t>(extra) >= universe_) continue;
-    const uint32_t begin = offsets[static_cast<size_t>(extra)];
-    const uint32_t end = offsets[static_cast<size_t>(extra) + 1];
-    if (begin == end) continue;
-    out[i] = CostOverlay(ctx, begin, end);
-  }
-}
-
 void SealedCache::CostActiveExtrasInto(CostContext* ctx,
                                        const uint32_t* position_of_id,
                                        size_t map_size, double* out) const {

@@ -161,22 +161,14 @@ class SealedCache {
   /// that cannot lower any term short-circuit to ctx->base_cost().
   double CostWithExtra(CostContext* ctx, IndexId extra) const;
 
-  /// CostWithExtra for a whole sweep: out[i] = CostWithExtra(ctx,
-  /// extras[i]) for i in [0, n), bit-identically. The advisor-shaped
-  /// entry point: out is filled with the base cost first, so the
-  /// many extras whose posting lists are empty for this query cost one
-  /// store instead of a call.
-  void CostExtrasInto(CostContext* ctx, const IndexId* extras, size_t n,
-                      double* out) const;
-
-  /// The inverted sweep for when the caller can amortize an id ->
-  /// output-slot map across queries: prices only this cache's
-  /// posting-bearing ids (PostingBearingIds) that the map points into
-  /// the sweep, writing out[position_of_id[id]]. `out` must already be
-  /// filled with ctx->base_cost() for every slot, and the map must be
-  /// injective on the swept ids (one slot per id); entries are
-  /// kNotSwept for ids not being swept, and ids >= map_size are not
-  /// swept. Bit-identical to CostExtrasInto over the same sweep.
+  /// CostWithExtra for a whole sweep, the advisor-shaped entry point.
+  /// The caller fills `out` with ctx->base_cost() and amortizes an id ->
+  /// slot map across queries (kNotSwept for ids not swept, one slot per
+  /// swept id; ids >= map_size are not swept). The sweep walks only this
+  /// cache's posting-bearing ids (PostingBearingIds) and writes
+  /// out[position_of_id[id]] = CostWithExtra(ctx, id) for each one the
+  /// map sweeps; every other swept id has no postings here, so its
+  /// base-cost slot already holds CostWithExtra's answer bit for bit.
   static constexpr uint32_t kNotSwept = UINT32_MAX;
   void CostActiveExtrasInto(CostContext* ctx, const uint32_t* position_of_id,
                             size_t map_size, double* out) const;
@@ -279,8 +271,8 @@ class SealedCache {
   double ScanPlans(const double* values, double seed) const;
 
   /// The posting-overlay core shared by CostWithExtra and
-  /// CostExtrasInto: folds postings [begin, end) into ctx's pinned
-  /// values, scans, restores, returns the cost.
+  /// CostActiveExtrasInto: folds postings [begin, end) into ctx's
+  /// pinned values, scans, restores, returns the cost.
   double CostOverlay(CostContext* ctx, uint32_t begin, uint32_t end) const;
 
   /// Draws the next process-unique seal id (atomic; seals run on pools).

@@ -55,8 +55,9 @@ class SnapshotCodec {
   /// cache's lifetime, copies included. The image start must be
   /// 8-aligned. The format's section/record alignment plus an aligned
   /// base (operator new's or a page-aligned mapping's) guarantees that,
-  /// and it is re-checked here because a crafted record length can
-  /// misalign every record after it.
+  /// and it is re-checked here because a crafted caches-section offset
+  /// can misalign every record (a record length that is not a multiple
+  /// of 8 fails that record's own image check first).
   static Status View(const char* data, size_t size,
                      std::shared_ptr<const void> owner, SealedCache* out) {
     if (reinterpret_cast<uintptr_t>(data) % kArenaAlign != 0) {

@@ -10,6 +10,24 @@
 #include "common/rng.h"
 
 namespace pinum {
+namespace {
+
+/// Runs `fn` and returns its result, or kInternal naming `what` if it
+/// throws. Pool-task faults (an injected one included) surface as
+/// exceptions out of ParallelFor; this keeps them from escaping into,
+/// and killing, whichever thread pumps or reseals.
+template <typename Fn>
+auto InternalOnThrow(const char* what, Fn&& fn) -> decltype(fn()) {
+  try {
+    return fn();
+  } catch (const std::exception& e) {
+    return Status::Internal(std::string(what) + ": " + e.what());
+  } catch (...) {
+    return Status::Internal(std::string(what) + ": non-standard exception");
+  }
+}
+
+}  // namespace
 
 ServingEngine::ServingEngine(WorkloadCacheBuilder* builder,
                              const std::vector<Query>* queries,
@@ -125,35 +143,22 @@ size_t ServingEngine::PumpOnce() {
   for (const PendingRequest& request : live) {
     configs.push_back(request.config);
   }
-  // A faulting sweep (a pool task throwing — e.g. an injected fault)
-  // must neither abandon the batch's promises nor propagate out of
-  // whatever thread happened to pump; every request gets an error
-  // answer instead.
-  try {
-    WorkloadCostEvaluator evaluator(&gen->sealed(), options_.pool);
-    const std::vector<double> costs = evaluator.BatchCost(configs);
-    for (size_t i = 0; i < live.size(); ++i) {
-      live[i].promise.set_value(CostAnswer{costs[i], gen->id, Status::OK()});
-    }
-    stat_answered_.fetch_add(live.size(), std::memory_order_relaxed);
-  } catch (const std::exception& e) {
-    for (PendingRequest& request : live) {
-      CostAnswer answer;
-      answer.status =
-          Status::Internal(std::string("pricing sweep failed: ") + e.what());
-      request.promise.set_value(std::move(answer));
-    }
-    stat_pricing_failures_.fetch_add(live.size(), std::memory_order_relaxed);
-  } catch (...) {
-    for (PendingRequest& request : live) {
-      CostAnswer answer;
-      answer.status =
-          Status::Internal("pricing sweep failed with a non-standard"
-                           " exception");
-      request.promise.set_value(std::move(answer));
-    }
-    stat_pricing_failures_.fetch_add(live.size(), std::memory_order_relaxed);
+  // A faulting sweep must neither abandon the batch's promises nor
+  // propagate out of whatever thread happened to pump: every request
+  // gets an error answer instead. Promises are set only after the sweep
+  // returns, so a throw never sets one twice.
+  const StatusOr<std::vector<double>> costs = InternalOnThrow(
+      "pricing sweep failed", [&]() -> StatusOr<std::vector<double>> {
+        return WorkloadCostEvaluator(&gen->sealed(), options_.pool)
+            .BatchCost(configs);
+      });
+  for (size_t i = 0; i < live.size(); ++i) {
+    live[i].promise.set_value(
+        costs.ok() ? CostAnswer{(*costs)[i], gen->id, Status::OK()}
+                   : CostAnswer{0, 0, costs.status()});
   }
+  (costs.ok() ? stat_answered_ : stat_pricing_failures_)
+      .fetch_add(live.size(), std::memory_order_relaxed);
   return expired + live.size();
 }
 
@@ -228,22 +233,12 @@ Status ServingEngine::ResealLocked(const std::vector<std::string>& names) {
   const auto base = Pin();
   const auto started = std::chrono::steady_clock::now();
   // The rebuild lands in a copy; `base` keeps serving readers (and
-  // in-flight pins) bit-identically throughout. Pool-task faults
-  // surface as exceptions out of ParallelFor — convert them to the
-  // same no-publish Status contract as a Status-returning failure, so
-  // an injected fault can never escape into (and kill) the watcher
-  // thread.
-  StatusOr<WorkloadCacheResult> next = [&]() -> StatusOr<WorkloadCacheResult> {
-    try {
-      return builder_->RebuildQueries(names, *queries_, base->result);
-    } catch (const std::exception& e) {
-      return Status::Internal(std::string("reseal rebuild threw: ") +
-                              e.what());
-    } catch (...) {
-      return Status::Internal(
-          "reseal rebuild threw a non-standard exception");
-    }
-  }();
+  // in-flight pins) bit-identically throughout. A rebuild that throws
+  // gets the same no-publish Status contract as one that fails.
+  StatusOr<WorkloadCacheResult> next =
+      InternalOnThrow("reseal rebuild threw", [&] {
+        return builder_->RebuildQueries(names, *queries_, base->result);
+      });
   if (!next.ok()) return next.status();
 
   // The reseal deadline is enforced at publication: a C++ rebuild
@@ -282,25 +277,27 @@ void ServingEngine::PushEventLocked(MaintenanceEvent event) {
   }
 }
 
+void ServingEngine::RecoverLocked(uint64_t generation) {
+  last_maintenance_status_ = Status::OK();
+  consecutive_failures_ = 0;
+  if (health_ != HealthState::kDegraded) return;
+  health_ = HealthState::kHealthy;
+  stat_recoveries_.fetch_add(1, std::memory_order_relaxed);
+  MaintenanceEvent recovered;
+  recovered.kind = MaintenanceEvent::Kind::kRecovered;
+  recovered.generation = generation;
+  PushEventLocked(std::move(recovered));
+}
+
 void ServingEngine::RecordResealOutcome(const Status& status,
                                         uint64_t published) {
   std::lock_guard<std::mutex> lock(status_mu_);
   if (status.ok()) {
-    const bool was_degraded = health_ == HealthState::kDegraded;
-    last_maintenance_status_ = Status::OK();
-    consecutive_failures_ = 0;
     MaintenanceEvent ok_event;
     ok_event.kind = MaintenanceEvent::Kind::kResealSucceeded;
     ok_event.generation = published;
     PushEventLocked(std::move(ok_event));
-    if (was_degraded) {
-      health_ = HealthState::kHealthy;
-      stat_recoveries_.fetch_add(1, std::memory_order_relaxed);
-      MaintenanceEvent recovered;
-      recovered.kind = MaintenanceEvent::Kind::kRecovered;
-      recovered.generation = published;
-      PushEventLocked(std::move(recovered));
-    }
+    RecoverLocked(published);
     return;
   }
   stat_reseal_failures_.fetch_add(1, std::memory_order_relaxed);
@@ -339,18 +336,7 @@ StatusOr<bool> ServingEngine::CheckAndReseal() {
     // if we were failing (or degraded), whatever was failing no longer
     // needs doing: recover.
     std::lock_guard<std::mutex> status_lock(status_mu_);
-    if (consecutive_failures_ > 0) {
-      consecutive_failures_ = 0;
-      last_maintenance_status_ = Status::OK();
-      if (health_ == HealthState::kDegraded) {
-        health_ = HealthState::kHealthy;
-        stat_recoveries_.fetch_add(1, std::memory_order_relaxed);
-        MaintenanceEvent recovered;
-        recovered.kind = MaintenanceEvent::Kind::kRecovered;
-        recovered.generation = CurrentGenerationId();
-        PushEventLocked(std::move(recovered));
-      }
-    }
+    RecoverLocked(CurrentGenerationId());
     return false;
   }
   Status status = ResealLocked(stale);
@@ -423,11 +409,6 @@ void ServingEngine::WatcherLoop(std::chrono::milliseconds poll) {
       PushEventLocked(std::move(retry));
     }
   }
-}
-
-Status ServingEngine::LastMaintenanceStatus() const {
-  std::lock_guard<std::mutex> lock(status_mu_);
-  return last_maintenance_status_;
 }
 
 HealthReport ServingEngine::Health() const {

@@ -303,17 +303,13 @@ class ServingEngine {
 
   /// Starts/stops the drift watcher: a background thread that runs
   /// CheckAndReseal every `poll`. Watcher errors never stop serving:
-  /// they are recorded (LastMaintenanceStatus, MaintenanceEvents) and
+  /// they are recorded (Health().last_error, MaintenanceEvents) and
   /// retried with exponential backoff under options.maintenance —
   /// after a failure the watcher waits backoff instead of poll, so a
   /// persistent fault is retried gently and a transient one heals at
   /// the next attempt.
   void StartDriftWatcher(std::chrono::milliseconds poll);
   void StopDriftWatcher();
-
-  /// The most recent maintenance failure (OK if none yet). The
-  /// watcher parks errors here since it has no caller to return to.
-  Status LastMaintenanceStatus() const;
 
   // ---- Health + observability ----
 
@@ -346,6 +342,10 @@ class ServingEngine {
   /// Folds one reseal outcome into the health state + event ring.
   /// `published` is the generation id serving after the attempt.
   void RecordResealOutcome(const Status& status, uint64_t published);
+  /// The one recovery path (a successful reseal, or nothing stale):
+  /// clears the failure streak and, if degraded, returns to kHealthy,
+  /// counts a recovery and pushes kRecovered. status_mu_ held.
+  void RecoverLocked(uint64_t generation);
   void PushEventLocked(MaintenanceEvent event);  // status_mu_ held
 
   void DispatcherLoop();

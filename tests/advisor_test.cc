@@ -26,6 +26,7 @@ class AdvisorTest : public ::testing::Test {
                                        mini_.db.stats(), opts, nullptr);
       EXPECT_TRUE(cache.ok());
       caches_.push_back(std::move(*cache));
+      sealed_.push_back(SealedCache::Seal(caches_.back(), set_.NumIndexIds()));
     }
   }
 
@@ -34,6 +35,8 @@ class AdvisorTest : public ::testing::Test {
   std::vector<IndexDef> candidates_;
   CandidateSet set_;
   std::vector<InumCache> caches_;
+  /// caches_ sealed once: the advisor's only input form.
+  std::vector<SealedCache> sealed_;
 };
 
 TEST_F(AdvisorTest, CandidatesCoverInterestingColumns) {
@@ -77,7 +80,7 @@ TEST_F(AdvisorTest, MaxCandidatesRespected) {
 
 TEST_F(AdvisorTest, GreedyImprovesWorkloadCost) {
   AdvisorOptions opts;
-  const AdvisorResult result = RunGreedyAdvisor(caches_, set_, opts);
+  const AdvisorResult result = RunGreedyAdvisor(sealed_, set_, opts);
   EXPECT_FALSE(result.chosen.empty());
   EXPECT_LT(result.workload_cost_after, result.workload_cost_before);
   EXPECT_GT(result.evaluations, 0);
@@ -85,7 +88,7 @@ TEST_F(AdvisorTest, GreedyImprovesWorkloadCost) {
 
 TEST_F(AdvisorTest, StepsHaveNonIncreasingBenefit) {
   AdvisorOptions opts;
-  const AdvisorResult result = RunGreedyAdvisor(caches_, set_, opts);
+  const AdvisorResult result = RunGreedyAdvisor(sealed_, set_, opts);
   for (size_t i = 1; i < result.steps.size(); ++i) {
     EXPECT_LE(result.steps[i].benefit, result.steps[i - 1].benefit + 1e-6);
   }
@@ -99,7 +102,7 @@ TEST_F(AdvisorTest, StepsHaveNonIncreasingBenefit) {
 TEST_F(AdvisorTest, BudgetRespected) {
   AdvisorOptions tight;
   tight.budget_bytes = 2 * 1024 * 1024;  // 2 MB
-  const AdvisorResult result = RunGreedyAdvisor(caches_, set_, tight);
+  const AdvisorResult result = RunGreedyAdvisor(sealed_, set_, tight);
   EXPECT_LE(result.total_size_bytes, tight.budget_bytes);
   int64_t recomputed = 0;
   for (IndexId id : result.chosen) {
@@ -111,7 +114,7 @@ TEST_F(AdvisorTest, BudgetRespected) {
 TEST_F(AdvisorTest, ZeroBudgetChoosesNothing) {
   AdvisorOptions zero;
   zero.budget_bytes = 0;
-  const AdvisorResult result = RunGreedyAdvisor(caches_, set_, zero);
+  const AdvisorResult result = RunGreedyAdvisor(sealed_, set_, zero);
   EXPECT_TRUE(result.chosen.empty());
   EXPECT_EQ(result.workload_cost_after, result.workload_cost_before);
 }
@@ -119,7 +122,7 @@ TEST_F(AdvisorTest, ZeroBudgetChoosesNothing) {
 TEST_F(AdvisorTest, MaxIndexesCapsSelection) {
   AdvisorOptions capped;
   capped.max_indexes = 1;
-  const AdvisorResult result = RunGreedyAdvisor(caches_, set_, capped);
+  const AdvisorResult result = RunGreedyAdvisor(sealed_, set_, capped);
   EXPECT_LE(result.chosen.size(), 1u);
 }
 
@@ -128,8 +131,8 @@ TEST_F(AdvisorTest, LargerBudgetNeverHurts) {
   small.budget_bytes = 4 * 1024 * 1024;
   AdvisorOptions large;
   large.budget_bytes = 4LL * 1024 * 1024 * 1024;
-  const AdvisorResult r_small = RunGreedyAdvisor(caches_, set_, small);
-  const AdvisorResult r_large = RunGreedyAdvisor(caches_, set_, large);
+  const AdvisorResult r_small = RunGreedyAdvisor(sealed_, set_, small);
+  const AdvisorResult r_large = RunGreedyAdvisor(sealed_, set_, large);
   EXPECT_LE(r_large.workload_cost_after, r_small.workload_cost_after + 1e-6);
 }
 
@@ -146,8 +149,8 @@ TEST_F(AdvisorTest, DeltaAndBatchedPathsReturnIdenticalResults) {
     batched.cost_path = AdvisorCostPath::kBatched;
     AdvisorOptions delta = batched;
     delta.cost_path = AdvisorCostPath::kDelta;
-    const AdvisorResult b = RunGreedyAdvisor(caches_, set_, batched);
-    const AdvisorResult d = RunGreedyAdvisor(caches_, set_, delta);
+    const AdvisorResult b = RunGreedyAdvisor(sealed_, set_, batched);
+    const AdvisorResult d = RunGreedyAdvisor(sealed_, set_, delta);
     SCOPED_TRACE("budget " + std::to_string(budget));
     ExpectSameAdvisorResult(b, d, /*same_cost_path=*/false);
   }
@@ -164,8 +167,8 @@ TEST_F(AdvisorTest, EvaluationCountersSplitConfigsPricedFromFullWork) {
   AdvisorOptions delta;  // default kDelta
   AdvisorOptions batched;
   batched.cost_path = AdvisorCostPath::kBatched;
-  const AdvisorResult d = RunGreedyAdvisor(caches_, set_, delta);
-  const AdvisorResult b = RunGreedyAdvisor(caches_, set_, batched);
+  const AdvisorResult d = RunGreedyAdvisor(sealed_, set_, delta);
+  const AdvisorResult b = RunGreedyAdvisor(sealed_, set_, batched);
   ASSERT_FALSE(d.chosen.empty());
 
   // Configurations priced: path-independent, and exactly one initial
@@ -234,6 +237,31 @@ TEST_F(AdvisorTest, AllOutOfUniverseExtrasPriceAsBase) {
   ASSERT_EQ(real.size(), expected.size());
   for (size_t e = 0; e < expected.size(); ++e) {
     EXPECT_EQ(real[e], expected[e]) << "extra " << e;
+  }
+}
+
+TEST_F(AdvisorTest, FarOutOfUniverseExtraDoesNotSizeTheSweepMap) {
+  // Regression: the id -> slot map used to be sized by the largest
+  // extra id, so one extra of 50,000,000 made every call fill a 200 MB
+  // map. Such an id bears no postings in any seal and prices as
+  // Cost(base); the map must stay within the universe.
+  const WorkloadCostEvaluator evaluator(&sealed_);
+  WorkloadCostEvaluator::EvalScratch scratch;
+  IndexConfig base;
+  base.push_back(set_.candidate_ids[0]);
+
+  std::vector<IndexId> extras = set_.candidate_ids;
+  extras.push_back(50000000);
+  const std::vector<double>& got =
+      evaluator.BatchCostWithExtras(base, extras, &scratch);
+  ASSERT_EQ(got.size(), extras.size());
+  EXPECT_EQ(got.back(), evaluator.Cost(base));
+  EXPECT_LE(scratch.position_of_id.size(),
+            static_cast<size_t>(set_.NumIndexIds()));
+  for (size_t e = 0; e + 1 < extras.size(); ++e) {
+    IndexConfig config = base;
+    config.push_back(extras[e]);
+    EXPECT_EQ(got[e], evaluator.Cost(config)) << "extra " << e;
   }
 }
 

@@ -726,6 +726,76 @@ TEST_F(FaultInjectionTest, RetryBackoffDoublesUpToTheRetryCap) {
   EXPECT_GE(most_failures, 4);
 }
 
+TEST_F(FaultInjectionTest, RecoversWhenTheWorldRevertsAfterAFailedReseal) {
+  // A check that finds nothing stale recovers the same way a successful
+  // reseal does: the world drifts, the reseal fails and degrades health,
+  // then the world drifts back to what the serving generation was built
+  // from — nothing needs doing any more.
+  WorkloadCacheResult built;
+  auto builder = MakeBuilder(&built);
+  ServingOptions options;
+  options.maintenance.max_retries = 1;
+  ServingEngine engine(builder.get(), &queries(), std::move(built), options);
+
+  const StatsCatalog saved = stats_;
+  engine.WithWorld(
+      [&] { Drift(/*seed=*/FaultSeed() * 100 + 21, /*add_candidates=*/0); });
+  {
+    FailPoint::Config fault;
+    fault.status = Status::Unavailable("stats store offline");
+    ScopedFailPoint scoped("workload.build_query", fault);
+    const StatusOr<bool> failed = engine.CheckAndReseal();
+    ASSERT_FALSE(failed.ok());
+  }
+  ASSERT_EQ(engine.Health().state, HealthState::kDegraded);
+
+  engine.WithWorld([&] { stats_ = saved; });
+  const StatusOr<bool> outcome = engine.CheckAndReseal();
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_FALSE(*outcome);
+
+  const HealthReport report = engine.Health();
+  EXPECT_EQ(report.state, HealthState::kHealthy);
+  EXPECT_EQ(report.consecutive_failures, 0);
+  EXPECT_TRUE(report.last_error.ok());
+  EXPECT_EQ(report.generation, 1u);
+  EXPECT_EQ(engine.Stats().recoveries, 1u);
+  const std::vector<MaintenanceEvent> events = engine.MaintenanceEvents();
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.back().kind, MaintenanceEvent::Kind::kRecovered);
+  EXPECT_EQ(events.back().generation, 1u);
+}
+
+TEST_F(FaultInjectionTest, MaintenanceRingKeepsTheNewestEvents) {
+  // Overflowing the bounded ring drops the oldest events: with every
+  // reseal failing, what is left is the newest kMaxMaintenanceEvents
+  // failures in push order, their failure counts consecutive.
+  WorkloadCacheResult built;
+  auto builder = MakeBuilder(&built);
+  ServingEngine engine(builder.get(), &queries(), std::move(built));
+
+  FailPoint::Config fault;
+  fault.status = Status::Unavailable("stats store offline");
+  ScopedFailPoint scoped("workload.build_query", fault);
+  const int rounds =
+      static_cast<int>(ServingEngine::kMaxMaintenanceEvents) + 6;
+  for (int i = 0; i < rounds; ++i) {
+    ASSERT_FALSE(engine.Reseal({queries()[0].name}).ok());
+  }
+
+  const std::vector<MaintenanceEvent> events = engine.MaintenanceEvents();
+  ASSERT_EQ(events.size(), ServingEngine::kMaxMaintenanceEvents);
+  const int first = rounds - static_cast<int>(events.size()) + 1;
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].kind, MaintenanceEvent::Kind::kResealFailed)
+        << "event " << i;
+    EXPECT_EQ(events[i].consecutive_failures, first + static_cast<int>(i))
+        << "event " << i;
+  }
+  EXPECT_EQ(events.back().consecutive_failures, rounds);
+  EXPECT_EQ(engine.Stats().reseal_failures, static_cast<uint64_t>(rounds));
+}
+
 // The randomized fault-schedule stress case (the CI fault matrix runs
 // it under ASan and TSan across seeds): readers hammer every serving
 // entry point while maintenance drifts and reseals through a seeded

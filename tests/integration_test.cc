@@ -59,13 +59,13 @@ TEST_F(IntegrationTest, AdvisorPipelineSpeedsUpExecution) {
   ASSERT_FALSE(cands.empty());
   auto set = MakeCandidateSet(db.catalog(), cands);
   ASSERT_TRUE(set.ok());
-  std::vector<InumCache> caches;
+  std::vector<SealedCache> caches;
   for (const Query& q : queries) {
     PinumBuildOptions opts;
     auto cache = BuildInumCachePinum(q, db.catalog(), *set, db.stats(),
                                      opts, nullptr);
     ASSERT_TRUE(cache.ok()) << q.name;
-    caches.push_back(std::move(*cache));
+    caches.push_back(SealedCache::Seal(*cache, set->NumIndexIds()));
   }
   AdvisorOptions aopts;
   aopts.budget_bytes = 1LL << 30;

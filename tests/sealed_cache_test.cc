@@ -199,9 +199,10 @@ TEST_F(SealedCacheTest, ClassicCostWithExtraBitIdentical) {
 }
 
 TEST_F(SealedCacheTest, SweepEntryPointsMatchSingleExtraCalls) {
-  // The batch sweeps (dense CostExtrasInto, inverted CostActiveExtrasInto)
-  // must price exactly like per-id CostWithExtra calls — including
-  // duplicate swept ids for the dense sweep.
+  // The batch sweeps (the evaluator's BatchCostWithExtras over this one
+  // cache, and the raw inverted CostActiveExtrasInto) must price exactly
+  // like per-id CostWithExtra calls — including a duplicate swept id for
+  // the evaluator, which aliases it to its first slot.
   Rng rng(113);
   const IndexId universe = fix_->star->set.NumIndexIds();
   for (size_t qi = 0; qi < fix_->pinum.sealed.size(); ++qi) {
@@ -220,8 +221,11 @@ TEST_F(SealedCacheTest, SweepEntryPointsMatchSingleExtraCalls) {
       expected[e] = sealed.CostWithExtra(&ctx, extras[e]);
     }
 
-    std::vector<double> dense(extras.size());
-    sealed.CostExtrasInto(&ctx, extras.data(), extras.size(), dense.data());
+    const std::vector<SealedCache> one = {sealed};
+    const WorkloadCostEvaluator evaluator(&one);
+    WorkloadCostEvaluator::EvalScratch scratch;
+    const std::vector<double>& dense =
+        evaluator.BatchCostWithExtras(base, extras, &scratch);
     EXPECT_EQ(dense, expected) << "query " << qi;
 
     // Inverted sweep over the unique prefix (its contract requires an

@@ -282,7 +282,7 @@ TEST_F(ServingEngineTest, StaleNamesTracksDriftAndResealClearsIt) {
   EXPECT_TRUE(*resealed);
   EXPECT_EQ(engine.CurrentGenerationId(), 2u);
   EXPECT_TRUE(engine.StaleNames().empty());
-  EXPECT_TRUE(engine.LastMaintenanceStatus().ok());
+  EXPECT_TRUE(engine.Health().last_error.ok());
 }
 
 TEST_F(ServingEngineTest, DriftWatcherPublishesInBackground) {
@@ -301,8 +301,8 @@ TEST_F(ServingEngineTest, DriftWatcherPublishesInBackground) {
   }
   engine.StopDriftWatcher();
   ASSERT_GE(engine.CurrentGenerationId(), 2u);
-  EXPECT_TRUE(engine.LastMaintenanceStatus().ok())
-      << engine.LastMaintenanceStatus().ToString();
+  EXPECT_TRUE(engine.Health().last_error.ok())
+      << engine.Health().last_error.ToString();
   EXPECT_TRUE(engine.StaleNames().empty());
 
   // The watcher-published generation is a cold rebuild's bits.

@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -622,6 +624,179 @@ TEST_F(SnapshotTest, CountedArrayOverrunIsInternal) {
   std::memcpy(bytes.data() + record + 24, &huge_count, 8);
   Rechecksum(&bytes);
   ExpectRejected(bytes, StatusCode::kInternal, "overruns");
+}
+
+TEST_F(SnapshotTest, EveryStructuralRuleRejectsItsViolation) {
+  // One crafted, checksum-valid file per structural rule of the reader:
+  // each of ValidateImage's rules on the first cache record, and each
+  // framing rule of the header, section table, query section and caches
+  // section. Every file must be rejected by both readers with the
+  // rule's own code and message, so a rule that silently stopped firing
+  // (or got shadowed by an earlier one) fails here by name.
+  const std::string pristine = SnapshotBytes();
+  auto get64 = [](const std::string& b, uint64_t at) {
+    uint64_t v = 0;
+    std::memcpy(&v, b.data() + at, 8);
+    return v;
+  };
+  auto get32 = [](const std::string& b, uint64_t at) {
+    uint32_t v = 0;
+    std::memcpy(&v, b.data() + at, 4);
+    return v;
+  };
+  auto put = [](std::string* b, uint64_t at, auto v) {
+    std::memcpy(b->data() + at, &v, sizeof(v));
+  };
+
+  // The caches section: u32 count, u32 reserved, vec<u64> lengths, then
+  // the records; the first record is an arena image whose directory
+  // entry i is {u64 offset, u64 count} at record + 16 + 16 * i.
+  const uint64_t caches = SectionOffset(pristine, 3);
+  const uint64_t queries = SectionOffset(pristine, 2);
+  const uint32_t num_caches = get32(pristine, caches);
+  ASSERT_GE(num_caches, 2u);
+  auto length_at = [&](uint64_t i) { return caches + 16 + 8 * i; };
+  const uint64_t record = FirstRecordOffset(pristine);
+  auto dir_offset = [&](uint64_t i) { return record + 16 + 16 * i; };
+  auto dir_count = [&](uint64_t i) { return dir_offset(i) + 8; };
+  auto array_at = [&](uint64_t i) {
+    return record + get64(pristine, dir_offset(i));
+  };
+  auto count_of = [&](uint64_t i) { return get64(pristine, dir_count(i)); };
+  const uint64_t universe = get64(pristine, record);
+  const uint32_t num_terms = static_cast<uint32_t>(count_of(0));
+  // Record 0 must exercise every array the rules below corrupt.
+  ASSERT_GE(universe, 2u);
+  ASSERT_GT(num_terms, 0u);
+  ASSERT_GT(count_of(3), 0u);  // postings
+  ASSERT_GE(count_of(6), 2u);  // plans
+  ASSERT_GT(count_of(8), 0u);  // plan slots
+  const double kInf = std::numeric_limits<double>::infinity();
+
+  struct Rule {
+    const char* name;
+    std::function<void(std::string*)> craft;
+    StatusCode code;
+    const char* message;
+  };
+  const Rule rules[] = {
+      // ---- SealedCache::ValidateImage, on cache record 0 ----
+      {"image smaller than its directory",
+       [&](std::string* b) {
+         const uint64_t len0 = get64(*b, length_at(0));
+         put(b, length_at(0), uint64_t{152});
+         put(b, length_at(1), get64(*b, length_at(1)) + len0 - 152);
+       },
+       StatusCode::kInternal,
+       "cache image is smaller than its header and directory"},
+      {"image size not a multiple of 8",
+       [&](std::string* b) {
+         put(b, length_at(0), get64(*b, length_at(0)) - 4);
+         put(b, length_at(1), get64(*b, length_at(1)) + 4);
+       },
+       StatusCode::kInternal, "cache image size is not 8-byte aligned"},
+      {"universe wider than IndexId",
+       [&](std::string* b) { put(b, record, uint64_t{1} << 40); },
+       StatusCode::kInternal, "universe size does not fit IndexId"},
+      {"term matrix not universe x terms",
+       [&](std::string* b) { put(b, dir_count(1), count_of(1) - 1); },
+       StatusCode::kInternal, "term matrix is not universe x terms"},
+      {"posting offsets short of the universe",
+       [&](std::string* b) { put(b, dir_count(2), count_of(2) - 1); },
+       StatusCode::kInternal, "posting offsets do not cover the universe"},
+      {"posting lists not closed by their offsets",
+       [&](std::string* b) { put(b, dir_count(3), count_of(3) + 1); },
+       StatusCode::kInternal,
+       "posting lists are not closed by their offsets"},
+      {"posting offsets not monotone",
+       [&](std::string* b) {
+         const uint32_t last = get32(*b, array_at(2) + 4 * universe);
+         put(b, array_at(2) + 4, last + 1);
+       },
+       StatusCode::kInternal, "posting offsets are not monotone"},
+      {"posting term out of range",
+       [&](std::string* b) { put(b, array_at(3), num_terms); },
+       StatusCode::kInternal, "posting names a term out of range"},
+      {"posting not a strict improvement",
+       [&](std::string* b) { put(b, array_at(4), kInf); },
+       StatusCode::kInternal,
+       "posting is not a strict improvement over its base"},
+      {"posting-bearing id list names a wrong id",
+       [&](std::string* b) { put(b, array_at(5), IndexId{-1}); },
+       StatusCode::kInternal,
+       "posting-bearing id list does not match the offsets"},
+      {"posting-bearing id list too long",
+       [&](std::string* b) { put(b, dir_count(5), count_of(5) + 1); },
+       StatusCode::kInternal,
+       "posting-bearing id list does not match the offsets"},
+      {"plans out of internal-cost order",
+       [&](std::string* b) { put(b, array_at(6), kInf); },
+       StatusCode::kInternal, "plans are not sorted by internal cost"},
+      {"plan slots past the slot arrays",
+       [&](std::string* b) {
+         put(b, array_at(6) + 12, static_cast<uint32_t>(count_of(7) + 1));
+       },
+       StatusCode::kInternal, "plan slots overrun the slot arrays"},
+      {"slot arrays of different lengths",
+       [&](std::string* b) { put(b, dir_count(8), count_of(8) - 1); },
+       StatusCode::kInternal, "plan slot arrays disagree in length"},
+      {"plan term out of range",
+       [&](std::string* b) { put(b, array_at(7), num_terms); },
+       StatusCode::kInternal, "plan names a term out of range"},
+      // ---- File framing (src/inum/snapshot.cc) ----
+      {"cache record misaligned in the file",
+       [&](std::string* b) {
+         // Shift the caches section (the last one) by 4 bytes: only a
+         // crafted section offset can misalign a record, since a record
+         // length that is not a multiple of 8 fails its own image check
+         // before the next record is bound.
+         b->insert(caches, 4, '\0');
+         for (uint32_t i = 0; i < get32(*b, 16); ++i) {
+           const uint64_t entry = 40 + 24 * uint64_t{i};
+           if (get32(*b, entry) == 3) put(b, entry + 8, caches + 4);
+         }
+         put(b, 24, uint64_t{b->size()});
+       },
+       StatusCode::kInternal, "cache record is misaligned"},
+      {"foreign byte order",
+       [&](std::string* b) { put(b, 8, uint32_t{0x04030201}); },
+       StatusCode::kInvalidArgument, "byte order differs"},
+      {"bytes past the declared file size",
+       [&](std::string* b) { b->append(8, '\0'); },
+       StatusCode::kInternal, "trailing bytes past the declared file size"},
+      {"section table past the file",
+       [&](std::string* b) { put(b, 16, uint32_t{1} << 28); },
+       StatusCode::kInternal, "section table overruns the file"},
+      {"section payload past the file",
+       [&](std::string* b) { put(b, 40 + 16, uint64_t{1} << 40); },
+       StatusCode::kInternal, "overruns the file (offset"},
+      {"query name past its section",
+       [&](std::string* b) { put(b, queries + 4, uint32_t{0xFFFFFFFF}); },
+       StatusCode::kInternal, "query name overruns its section"},
+      {"cache count differs from query count",
+       [&](std::string* b) { put(b, caches, num_caches + 1); },
+       StatusCode::kInternal, "cache count does not match query count"},
+      {"record-length count differs from cache count",
+       [&](std::string* b) { put(b, caches + 8, uint64_t{num_caches} - 1); },
+       StatusCode::kInternal,
+       "cache record-length count does not match cache count"},
+      {"record past its section",
+       [&](std::string* b) { put(b, length_at(0), uint64_t{1} << 40); },
+       StatusCode::kInternal, "cache record 0 overruns its section"},
+      {"bytes after the last record",
+       [&](std::string* b) {
+         const uint64_t last = length_at(num_caches - 1u);
+         put(b, last, get64(*b, last) - 8);
+       },
+       StatusCode::kInternal, "trailing bytes in caches section"},
+  };
+  for (const Rule& rule : rules) {
+    SCOPED_TRACE(rule.name);
+    std::string bytes = pristine;
+    rule.craft(&bytes);
+    Rechecksum(&bytes);
+    ExpectRejected(bytes, rule.code, rule.message);
+  }
 }
 
 TEST_F(SnapshotTest, IndexSizeDriftIsFailedPrecondition) {

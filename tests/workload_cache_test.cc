@@ -286,9 +286,13 @@ TEST_F(WorkloadCacheTest, BatchedAdvisorMatchesSerialAdvisor) {
 
   AdvisorOptions aopts;
   aopts.budget_bytes = 512LL * 1024 * 1024;
-  // The InumCache overload seals internally; it must agree exactly with
-  // batched pricing over the builder's own sealed vector.
-  const AdvisorResult serial = RunGreedyAdvisor(caches, set_, aopts);
+  // Serial pricing over the oracle caches, sealed here, must agree
+  // exactly with batched pricing over the builder's own sealed vector.
+  std::vector<SealedCache> sealed;
+  for (const InumCache& cache : caches) {
+    sealed.push_back(SealedCache::Seal(cache, set_.NumIndexIds()));
+  }
+  const AdvisorResult serial = RunGreedyAdvisor(sealed, set_, aopts);
 
   ThreadPool pool(4);
   const WorkloadCostEvaluator evaluator(&built.sealed, &pool);
