@@ -1,10 +1,11 @@
 // The paper's figures on the paper workload and the eight corpus cells
 // (WorkloadFamilyNames() x seeds {1, 2}): Fig. 4/5 build time and calls,
-// Sec. IV redundancy, ablations A1 and A2, VI-C accuracy, and workload
-// builds with shared access-cost calls; plus VI-B and Fig. 6/7 on the
-// paper workload, the only one the star generator materializes. Each
-// query's caches are built once per variant, and one direct optimizer
-// call per sampled configuration is the truth every error column reads.
+// Sec. IV redundancy, ablations A1 and A2, VI-C accuracy, and PINUM
+// workload builds with shared access-cost calls next to classic INUM's
+// serial baseline; plus VI-B and Fig. 6/7 on the paper workload, the
+// only one the star generator materializes. Each query's caches are
+// built once per variant, and one direct optimizer call per sampled
+// configuration is the truth every error column reads.
 //
 //   $ ./paper_bench [--smoke] [--json out.json]
 //
@@ -255,10 +256,11 @@ void PrintQueryFigures(const std::string& cell,
               "# bigger plan cache and slower lookup\n");
 }
 
-/// The workload figure: serial vs parallel builds and cross-query
+/// The workload figure: PINUM's serial vs parallel builds and cross-query
 /// access-cost sharing over the cell's queries replicated `replicas`
-/// times, PINUM and classic; then the cell's shape from one default build
-/// of the unreplicated queries and a greedy advisor run.
+/// times, next to classic INUM's serial per-query baseline; then the
+/// cell's shape from one default build of the unreplicated queries and a
+/// greedy advisor run.
 Status RunWorkloadFigure(const std::string& cell, const WorkloadInstance& w,
                          const std::vector<Query>& queries, int replicas,
                          double gen_ms, bench::JsonSummary* json) {
@@ -266,9 +268,22 @@ Status RunWorkloadFigure(const std::string& cell, const WorkloadInstance& w,
   const std::vector<Query> replicated =
       bench::ReplicateQueries(queries, replicas);
   std::printf("\n# workload [%s]: %zu queries (%zu templates x %d), %zu "
-              "candidates, %u hardware threads\n",
+              "candidates, %u hardware threads; x = PINUM serial ms / ms\n",
               cell.c_str(), replicated.size(), queries.size(), replicas,
               w.set.candidate_ids.size(), std::thread::hardware_concurrency());
+  double serial_ms = 0;
+  auto row = [&](const char* label, const std::string& run_key, double ms,
+                 int64_t plan_calls, int64_t access_calls, int64_t saved) {
+    if (serial_ms == 0) serial_ms = ms;
+    std::printf("%-26s %10.1f ms %8.2fx | plan calls %6lld | access calls "
+                "%6lld (saved %lld)\n",
+                label, ms, serial_ms / ms, static_cast<long long>(plan_calls),
+                static_cast<long long>(access_calls),
+                static_cast<long long>(saved));
+    json->Set(key + run_key + "_ms", ms);
+    json->Set(key + run_key + "_plan_calls", plan_calls);
+    json->Set(key + run_key + "_access_calls", access_calls);
+  };
   struct Run {
     const char* key;
     const char* label;
@@ -279,34 +294,34 @@ Status RunWorkloadFigure(const std::string& cell, const WorkloadInstance& w,
       {"serial", "serial, no sharing", 1, false},
       {"serial_shared", "serial, shared access", 1, true},
       {"parallel_shared", "parallel, shared access", 0, true}};
-  for (const CacheBuildMode mode :
-       {CacheBuildMode::kPinum, CacheBuildMode::kClassic}) {
-    const bool pinum = mode == CacheBuildMode::kPinum;
-    std::printf("== %s ==\n", pinum ? "PINUM" : "classic INUM");
-    double serial_ms = 0;
-    for (const Run& run : kRuns) {
-      WorkloadCacheOptions opts;
-      opts.mode = mode;
-      opts.num_threads = run.threads;
-      opts.share_access_costs = run.share;
-      WorkloadCacheBuilder builder(&w.catalog(), &w.set, &w.stats(), opts);
-      PINUM_ASSIGN_OR_RETURN(WorkloadCacheResult built,
-                             builder.BuildAll(replicated));
-      const WorkloadCacheStats& t = built.totals;
-      if (serial_ms == 0) serial_ms = t.wall_ms;
-      std::printf("%-26s %10.1f ms %8.2fx | plan calls %6lld | access calls "
-                  "%6lld (saved %lld)\n",
-                  run.label, t.wall_ms, serial_ms / t.wall_ms,
-                  static_cast<long long>(t.plan_cache_calls),
-                  static_cast<long long>(t.access_cost_calls),
-                  static_cast<long long>(t.access_calls_saved));
-      const std::string run_key =
-          key + (pinum ? "pinum_" : "classic_") + run.key;
-      json->Set(run_key + "_ms", t.wall_ms);
-      json->Set(run_key + "_plan_calls", t.plan_cache_calls);
-      json->Set(run_key + "_access_calls", t.access_cost_calls);
-    }
+  std::printf("== PINUM ==\n");
+  for (const Run& run : kRuns) {
+    WorkloadCacheOptions opts;
+    opts.num_threads = run.threads;
+    opts.share_access_costs = run.share;
+    WorkloadCacheBuilder builder(&w.catalog(), &w.set, &w.stats(), opts);
+    PINUM_ASSIGN_OR_RETURN(WorkloadCacheResult built,
+                           builder.BuildAll(replicated));
+    const WorkloadCacheStats& t = built.totals;
+    row(run.label, std::string("pinum_") + run.key, t.wall_ms,
+        t.plan_cache_calls, t.access_cost_calls, t.access_calls_saved);
   }
+  // Classic INUM is the paper's per-query baseline: one call per IOC and
+  // NLJ setting plus one per candidate, nothing shared across queries.
+  std::printf("== classic INUM ==\n");
+  InumBuildStats classic;
+  Stopwatch classic_sw;
+  for (const Query& q : replicated) {
+    InumBuildStats stats;
+    PINUM_RETURN_IF_ERROR(BuildInumCacheClassic(q, w.catalog(), w.set,
+                                                w.stats(), InumBuildOptions{},
+                                                &stats)
+                              .status());
+    classic.plan_cache_calls += stats.plan_cache_calls;
+    classic.access_cost_calls += stats.access_cost_calls;
+  }
+  row("serial, no sharing", "classic_serial", classic_sw.ElapsedMillis(),
+      classic.plan_cache_calls, classic.access_cost_calls, 0);
 
   WorkloadCacheBuilder builder(&w.catalog(), &w.set, &w.stats());
   Stopwatch build_sw;

@@ -44,7 +44,6 @@ bool SharedAccessCostStore::LookupTable(const std::string& signature,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_table_.find(signature);
   if (it == by_table_.end()) return false;
-  ++hits_;
   *out = it->second;
   return true;
 }
@@ -53,75 +52,22 @@ void SharedAccessCostStore::StoreTable(const std::string& signature,
                                        const TableAccessInfo& info) {
   std::lock_guard<std::mutex> lock(mu_);
   by_table_.emplace(signature, info);
-  // The universe-visible answer is authoritative for the fallback tier:
-  // it must replace any narrower answer stored earlier under the same
-  // signature, never be masked by it.
-  fallback_.insert_or_assign(signature, info);
-}
-
-bool SharedAccessCostStore::LookupCandidate(IndexId candidate,
-                                            const std::string& signature,
-                                            TableAccessInfo* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_candidate_.find({candidate, signature});
-  if (it == by_candidate_.end()) return false;
-  ++hits_;
-  *out = it->second;
-  return true;
-}
-
-void SharedAccessCostStore::StoreCandidate(IndexId candidate,
-                                           const std::string& signature,
-                                           const TableAccessInfo& info) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Candidate-specific answers never reach the fallback tier: the info
-  // carries one candidate's access paths, and a first-wins write here
-  // would permanently mask the base-table answer for this signature.
-  by_candidate_.emplace(std::make_pair(candidate, signature), info);
-}
-
-void SharedAccessCostStore::StoreFallback(const std::string& signature,
-                                          const TableAccessInfo& info) {
-  std::lock_guard<std::mutex> lock(mu_);
-  fallback_.emplace(signature, info);
-}
-
-bool SharedAccessCostStore::LookupFallback(const std::string& signature,
-                                           TableAccessInfo* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = fallback_.find(signature);
-  if (it == fallback_.end()) return false;
-  *out = it->second;
-  return true;
 }
 
 size_t SharedAccessCostStore::InvalidateTables(
     const std::vector<TableId>& tables) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto hit = [&](const TableAccessInfo& info) {
-    return std::find(tables.begin(), tables.end(), info.table) !=
-           tables.end();
-  };
   size_t erased = 0;
-  auto sweep = [&](auto* map) {
-    for (auto it = map->begin(); it != map->end();) {
-      if (hit(it->second)) {
-        it = map->erase(it);
-        ++erased;
-      } else {
-        ++it;
-      }
+  for (auto it = by_table_.begin(); it != by_table_.end();) {
+    if (std::find(tables.begin(), tables.end(), it->second.table) !=
+        tables.end()) {
+      it = by_table_.erase(it);
+      ++erased;
+    } else {
+      ++it;
     }
-  };
-  sweep(&by_table_);
-  sweep(&by_candidate_);
-  sweep(&fallback_);
+  }
   return erased;
-}
-
-int64_t SharedAccessCostStore::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
 }
 
 }  // namespace pinum

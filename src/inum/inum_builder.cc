@@ -1,6 +1,5 @@
 #include "inum/inum_builder.h"
 
-#include <map>
 #include <string>
 
 #include "common/failpoint.h"
@@ -73,84 +72,29 @@ StatusOr<InumCache> BuildInumCacheClassic(const Query& query,
   local.plan_cache_ms = plan_timer.ElapsedMillis();
 
   // ---- Phase 2: access costs, one optimizer call per candidate index
-  // ("the optimizer can be queried with a single index per each table and
-  // the access cost determined by parsing the generated plan",
-  // Section V-B) — unless another workload query with the same footprint
-  // on the candidate's table already paid for the call. ----
+  // on the query's tables ("the optimizer can be queried with a single
+  // index per each table and the access cost determined by parsing the
+  // generated plan", Section V-B). Every call also answers the heap
+  // (and base indexes) of every table; a query with no such candidate
+  // makes that call once over the base catalog. ----
   Stopwatch access_timer;
-  SharedAccessCostStore* store = options.shared_access;
-  // Signatures are per (query, table); memoize them across the
-  // per-candidate loop.
-  std::map<TableId, std::string> signatures;
-  auto signature_of = [&](TableId table) -> const std::string& {
-    auto it = signatures.find(table);
-    if (it == signatures.end()) {
-      it = signatures.emplace(table, TableContextSignature(query, table))
-               .first;
-    }
-    return it->second;
-  };
-  for (IndexId candidate : candidates.candidate_ids) {
-    const IndexDef* def = candidates.universe.FindIndex(candidate);
-    if (def == nullptr) continue;
-    // Only candidates on the query's tables are relevant.
-    if (query.PosOfTable(def->table) < 0) continue;
-    if (store != nullptr) {
-      TableAccessInfo shared;
-      if (store->LookupCandidate(candidate, signature_of(def->table),
-                                 &shared)) {
-        shared.pos = query.PosOfTable(def->table);
-        cache.mutable_access()->Absorb(shared);
-        ++local.access_calls_saved;
-        continue;
-      }
-    }
-    Catalog single = candidates.Subset({candidate});
-    Optimizer opt(&single, &stats);
+  auto collect_access = [&](const Catalog& visible) -> Status {
+    Optimizer opt(&visible, &stats);
     // The collector's output stands in for parsing the generated plan.
     PINUM_RETURN_IF_ERROR(FailPoint::Check("inum.access_optimizer_call"));
     PINUM_ASSIGN_OR_RETURN(std::vector<TableAccessInfo> access,
                            opt.CollectAccessPaths(query, options.base_knobs));
-    for (const auto& info : access) {
-      cache.mutable_access()->Absorb(info);
-      if (store != nullptr) {
-        if (info.table == def->table) {
-          store->StoreCandidate(candidate, signature_of(info.table), info);
-        } else {
-          store->StoreFallback(signature_of(info.table), info);
-        }
-      }
-    }
+    for (const auto& info : access) cache.mutable_access()->Absorb(info);
     ++local.access_cost_calls;
+    return Status::OK();
+  };
+  for (IndexId candidate : candidates.candidate_ids) {
+    const IndexDef* def = candidates.universe.FindIndex(candidate);
+    if (def == nullptr || query.PosOfTable(def->table) < 0) continue;
+    PINUM_RETURN_IF_ERROR(collect_access(candidates.Subset({candidate})));
   }
-  // Shared answers only cover the candidate's own table; tables whose
-  // every call was deduplicated away still need their own access info.
-  if (store != nullptr) {
-    bool fallback_needed = false;
-    for (size_t pos = 0; pos < query.tables.size(); ++pos) {
-      if (!IsInfinite(cache.access().HeapCost(static_cast<int>(pos)))) {
-        continue;
-      }
-      TableAccessInfo fallback;
-      if (store->LookupFallback(signature_of(query.tables[pos]), &fallback)) {
-        fallback.pos = static_cast<int>(pos);
-        cache.mutable_access()->Absorb(fallback);
-      } else {
-        fallback_needed = true;
-      }
-    }
-    if (fallback_needed) {
-      Optimizer opt(&base_catalog, &stats);
-      PINUM_RETURN_IF_ERROR(FailPoint::Check("inum.access_optimizer_call"));
-      PINUM_ASSIGN_OR_RETURN(
-          std::vector<TableAccessInfo> access,
-          opt.CollectAccessPaths(query, options.base_knobs));
-      for (const auto& info : access) {
-        cache.mutable_access()->Absorb(info);
-        store->StoreFallback(signature_of(info.table), info);
-      }
-      ++local.access_cost_calls;
-    }
+  if (local.access_cost_calls == 0) {
+    PINUM_RETURN_IF_ERROR(collect_access(base_catalog));
   }
   local.access_cost_ms = access_timer.ElapsedMillis();
 

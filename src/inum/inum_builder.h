@@ -6,7 +6,6 @@
 
 #include <cstdint>
 
-#include "inum/access_cost_store.h"
 #include "inum/cache.h"
 #include "optimizer/interesting_orders.h"
 #include "optimizer/knobs.h"
@@ -18,11 +17,6 @@ namespace pinum {
 
 /// Knobs for the classic build.
 struct InumBuildOptions {
-  /// When set, per-candidate access-cost calls whose answer another
-  /// workload query already computed (same candidate, same table
-  /// footprint) are served from the store instead of the optimizer.
-  /// The store must belong to the same (catalog, candidates, stats).
-  SharedAccessCostStore* shared_access = nullptr;
   PlannerKnobs base_knobs;
 };
 
@@ -30,8 +24,6 @@ struct InumBuildOptions {
 struct InumBuildStats {
   int64_t plan_cache_calls = 0;
   int64_t access_cost_calls = 0;
-  /// Optimizer calls answered by InumBuildOptions::shared_access.
-  int64_t access_calls_saved = 0;
   double plan_cache_ms = 0;
   double access_cost_ms = 0;
   uint64_t iocs_enumerated = 0;
@@ -45,8 +37,10 @@ struct InumBuildStats {
 ///    order combination, one with nested loop joins and one without"),
 ///    caching each winning plan; base_knobs.enable_nestloop = false
 ///    skips the second call;
-///  - for every candidate index, invoke the optimizer once with only that
-///    index visible to learn its access costs.
+///  - for every candidate index on the query's tables, invoke the
+///    optimizer once with only that index visible to learn its access
+///    costs; a query with no such candidate makes one call over
+///    `base_catalog` instead, so its plans still price the heap.
 StatusOr<InumCache> BuildInumCacheClassic(const Query& query,
                                           const Catalog& base_catalog,
                                           const CandidateSet& candidates,

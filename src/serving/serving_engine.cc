@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
-#include <map>
 #include <utility>
 
 #include "advisor/greedy_advisor.h"
@@ -212,13 +211,15 @@ void ServingEngine::WithWorld(const std::function<void()>& fn) {
 
 std::vector<std::string> ServingEngine::StaleNamesLocked() const {
   const auto gen = Pin();
-  std::map<TableId, uint64_t> fp_cache;
+  // Generations carry no names: the queries' own names leave
+  // StaleQueries only the stamps (and their count) to diff.
+  std::vector<std::string> names;
+  names.reserve(queries_->size());
+  for (const Query& q : *queries_) names.push_back(q.name);
   std::vector<std::string> stale;
-  for (size_t i = 0; i < queries_->size(); ++i) {
-    if (builder_->QueryStamp((*queries_)[i], &fp_cache) !=
-        gen->stamps()[i]) {
-      stale.push_back((*queries_)[i].name);
-    }
+  for (const size_t i :
+       builder_->StaleQueries(names, gen->stamps(), *queries_)) {
+    stale.push_back(names[i]);
   }
   return stale;
 }

@@ -197,6 +197,11 @@ struct ServingStats {
 /// a cache reading them; reseals carry the unrebuilt caches (and so the
 /// mapping) forward until every borrowed cache has been rebuilt
 /// heap-side (see docs/SERVING.md).
+///
+/// A result that is not parallel to the queries (say, a snapshot of a
+/// longer or shorter workload) reads as all stale: StaleNames lists
+/// every query, and every reseal fails with kInvalidArgument while the
+/// engine keeps serving that result.
 class ServingEngine {
  public:
   /// Batch coalescing: one pump drains at most this many queued

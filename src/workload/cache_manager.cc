@@ -25,29 +25,15 @@ StatusOr<InumCache> WorkloadCacheBuilder::BuildQueryCache(
   // from whichever pool thread claims the query; BuildAndSeal annotates
   // the returned Status with the query name.
   PINUM_RETURN_IF_ERROR(FailPoint::Check("workload.build_query"));
-  SharedAccessCostStore* store =
-      options_.share_access_costs ? &store_ : nullptr;
-  auto report = [query_stats](const auto& stats) {
-    if (query_stats != nullptr) {
-      *query_stats = {stats.plan_cache_calls, stats.access_cost_calls,
-                      stats.access_calls_saved};
-    }
-  };
-  if (options_.mode == CacheBuildMode::kPinum) {
-    PinumBuildOptions opts = options_.pinum;
-    opts.shared_access = store;
-    PinumBuildStats stats;
-    StatusOr<InumCache> cache = BuildInumCachePinum(
-        query, *base_catalog_, *candidates_, *stats_, opts, &stats);
-    report(stats);
-    return cache;
-  }
-  InumBuildOptions opts = options_.inum;
-  opts.shared_access = store;
-  InumBuildStats stats;
-  StatusOr<InumCache> cache = BuildInumCacheClassic(
+  PinumBuildOptions opts = options_.pinum;
+  opts.shared_access = options_.share_access_costs ? &store_ : nullptr;
+  PinumBuildStats stats;
+  StatusOr<InumCache> cache = BuildInumCachePinum(
       query, *base_catalog_, *candidates_, *stats_, opts, &stats);
-  report(stats);
+  if (query_stats != nullptr) {
+    *query_stats = {stats.plan_cache_calls, stats.access_cost_calls,
+                    stats.access_calls_saved};
+  }
   return cache;
 }
 
@@ -235,18 +221,17 @@ StatusOr<WorkloadCacheResult> WorkloadCacheBuilder::RebuildQueries(
 uint64_t WorkloadCacheBuilder::QueryStamp(
     const Query& query, std::map<TableId, uint64_t>* table_fp_cache) const {
   // Fold the world-slice stamp with the build shape: two builders bound
-  // to one world but building different cache flavours (mode, NLJ
-  // handling, any planner knob) must not treat each other's caches as
-  // current.
+  // to one world but building different cache flavours (NLJ handling,
+  // any planner knob) must not treat each other's caches as current.
   uint64_t h =
       ComputeQueryStamp(query, *candidates_, *stats_, table_fp_cache);
   auto fold = [&h](uint64_t v) {
     h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   };
-  fold(static_cast<uint64_t>(options_.mode));
-  const PlannerKnobs& knobs = options_.mode == CacheBuildMode::kPinum
-                                  ? options_.pinum.base_knobs
-                                  : options_.inum.base_knobs;
+  // A constant where a retired build-mode switch was folded, so stamps
+  // already written to snapshots stay valid.
+  fold(0);
+  const PlannerKnobs& knobs = options_.pinum.base_knobs;
   static_assert(sizeof(CostParams) == 6 * sizeof(double) &&
                     sizeof(PlannerHooks) == 2 * sizeof(bool),
                 "fold every CostParams and PlannerHooks field below");
@@ -261,12 +246,8 @@ uint64_t WorkloadCacheBuilder::QueryStamp(
   }
   fold(knobs.hooks.export_all_plans ? 1 : 0);
   fold(knobs.hooks.disable_dominance_pruning ? 1 : 0);
-  // Classic builds fold a constant 1 (the value of a retired NLJ switch)
-  // so that stamps already written to snapshots stay valid.
-  fold(options_.mode == CacheBuildMode::kPinum
-           ? static_cast<uint64_t>(options_.pinum.nlj_extreme_calls) * 2 +
-                 (options_.pinum.nlj_export_all ? 1 : 0)
-           : 1);
+  fold(static_cast<uint64_t>(options_.pinum.nlj_extreme_calls) * 2 +
+       (options_.pinum.nlj_export_all ? 1 : 0));
   return h;
 }
 
@@ -275,10 +256,13 @@ std::vector<size_t> WorkloadCacheBuilder::StaleQueries(
     const std::vector<uint64_t>& stamps,
     const std::vector<Query>& queries) const {
   std::vector<size_t> stale;
+  // Entries of another length belong to another workload, even when
+  // their names begin with this one's: every query is stale.
+  const bool parallel =
+      names.size() == queries.size() && stamps.size() == queries.size();
   std::map<TableId, uint64_t> fp_cache;
   for (size_t i = 0; i < queries.size(); ++i) {
-    if (i >= names.size() || i >= stamps.size() ||
-        names[i] != queries[i].name ||
+    if (!parallel || names[i] != queries[i].name ||
         stamps[i] != QueryStamp(queries[i], &fp_cache)) {
       stale.push_back(i);
     }

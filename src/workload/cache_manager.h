@@ -1,9 +1,9 @@
-// Workload-scale cache construction: builds one INUM/PINUM cache per
+// Workload-scale cache construction: builds one PINUM cache per
 // workload query concurrently, sharing access-cost optimizer calls
-// across queries that price the same candidate index with the same table
-// footprint. This scales the paper's per-query procedure ("caching all
-// plans with just one optimizer call") to whole workloads — the input
-// the index advisor actually consumes.
+// across queries with the same table footprints. This scales the
+// paper's per-query procedure ("caching all plans with just one
+// optimizer call") to whole workloads — the input the index advisor
+// actually consumes.
 #ifndef PINUM_WORKLOAD_CACHE_MANAGER_H_
 #define PINUM_WORKLOAD_CACHE_MANAGER_H_
 
@@ -15,7 +15,6 @@
 #include "common/thread_pool.h"
 #include "inum/access_cost_store.h"
 #include "inum/cache.h"
-#include "inum/inum_builder.h"
 #include "inum/sealed_cache.h"
 #include "inum/snapshot.h"
 #include "pinum/pinum_builder.h"
@@ -24,17 +23,10 @@
 
 namespace pinum {
 
-/// Which per-query procedure fills the caches.
-enum class CacheBuildMode {
-  /// PINUM's hooked calls (a handful per query; the paper's contribution).
-  kPinum,
-  /// Classic INUM (one call per IOC plus one per candidate; the baseline).
-  kClassic,
-};
-
-/// Workload-build configuration.
+/// Workload-build configuration. Every query's cache is built by PINUM's
+/// hooked calls (BuildInumCachePinum); the paper's classic INUM baseline
+/// is BuildInumCacheClassic, called per query.
 struct WorkloadCacheOptions {
-  CacheBuildMode mode = CacheBuildMode::kPinum;
   /// 0 = one thread per hardware core; 1 = strictly serial (the
   /// determinism baseline).
   int num_threads = 0;
@@ -42,15 +34,14 @@ struct WorkloadCacheOptions {
   /// SharedAccessCostStore. Cache *values* are identical either way; only
   /// the number of optimizer calls changes.
   bool share_access_costs = true;
-  /// Per-query knobs. The shared_access field of both is managed by the
-  /// builder and ignored if set.
+  /// Per-query knobs. The shared_access field is managed by the builder
+  /// and ignored if set.
   PinumBuildOptions pinum;
-  InumBuildOptions inum;
 };
 
-/// Per-query optimizer-call accounting (mode-independent subset of
-/// InumBuildStats/PinumBuildStats). Plan counts live on the sealed
-/// cache itself (NumPlans + NumPlansPruned).
+/// Per-query optimizer-call accounting (the subset of PinumBuildStats
+/// the workload totals sum). Plan counts live on the sealed cache itself
+/// (NumPlans + NumPlansPruned).
 struct QueryBuildStats {
   int64_t plan_cache_calls = 0;
   int64_t access_cost_calls = 0;
@@ -126,9 +117,9 @@ class WorkloadCacheBuilder {
   StatusOr<WorkloadCacheResult> BuildAll(const std::vector<Query>& queries);
 
   /// The build-time form of one query's cache, on request: the per-query
-  /// body BuildAll and RebuildQueries run before sealing (same mode,
-  /// planner knobs and shared access-cost store), for callers that need
-  /// the harvested plans themselves: the golden corpus's per-plan lines,
+  /// body BuildAll and RebuildQueries run before sealing (same planner
+  /// knobs and shared access-cost store), for callers that need the
+  /// harvested plans themselves: the golden corpus's per-plan lines,
   /// including plans the seal prunes, and test oracles. It reads the
   /// shared store as the last BuildAll/RebuildQueries left it, so call
   /// it under the world that build consumed. Fires the
@@ -172,12 +163,12 @@ class WorkloadCacheBuilder {
 
   /// The per-query epoch stamp this builder seals `query` under *right
   /// now*: ComputeQueryStamp over the bound (candidates, stats) folded
-  /// with the build mode, every PlannerKnobs field of that mode (join
-  /// switches, cost constants, hooks) and its NLJ settings — every input
-  /// of the build this builder can vary, so a drifted stamp means
-  /// "reseal me". The optimizer's own code is not an input: a binary
-  /// whose cost model changed must not serve an older binary's
-  /// snapshot. BuildAll/RebuildQueries capture these into
+  /// with every PlannerKnobs field of options.pinum (join switches, cost
+  /// constants, hooks) and its NLJ settings — every input of the build
+  /// this builder can vary, so a drifted stamp means "reseal me". The
+  /// optimizer's own code is not an input: a binary whose cost model
+  /// changed must not serve an older binary's snapshot.
+  /// BuildAll/RebuildQueries capture these into
   /// WorkloadCacheResult::stamps at build time; `table_fp_cache`, when
   /// given, memoizes per-table fingerprints across calls (star workloads
   /// touch the fact table from every query).
@@ -186,10 +177,14 @@ class WorkloadCacheBuilder {
                           nullptr) const;
 
   /// Indices into `queries` whose stored entry is stale: the name at
-  /// that position is missing or different, or the stored stamp differs
-  /// from the live QueryStamp. `names` and `stamps` are what a restored
-  /// snapshot carries (WorkloadSnapshot::query_names and query_stamps,
-  /// or LoadSnapshotMapped's names and result stamps). Pass the result's
+  /// that position differs, or the stored stamp differs from the live
+  /// QueryStamp. `names` and `stamps` are what a restored snapshot
+  /// carries (WorkloadSnapshot::query_names and query_stamps, or
+  /// LoadSnapshotMapped's names and result stamps). When either is not
+  /// exactly queries.size() long, the entries are not this workload's
+  /// and every query is stale: the restored result is not parallel to
+  /// `queries`, so RebuildQueries rejects it with kInvalidArgument and
+  /// the caller rebuilds with BuildAll. Otherwise pass the result's
   /// names straight to RebuildQueries after turning the snapshot into a
   /// result (ResultFromSnapshot); an empty return means the snapshot
   /// serves the whole workload as-is.
@@ -248,7 +243,6 @@ class WorkloadCacheBuilder {
 
   /// The builder's pool — reusable for batched configuration pricing.
   ThreadPool* pool() { return &pool_; }
-  const SharedAccessCostStore& store() const { return store_; }
 
  private:
   /// Builds and seals queries[targets[j]] into (*sealed)[j] and

@@ -38,9 +38,9 @@ void RunDifferentialCase(const Catalog& catalog,
                          const DriftOptions& dopts = {}) {
   SCOPED_TRACE("reseal case: seed " + std::to_string(seed) + ", target " +
                std::to_string(target) + " of " +
-               std::to_string(queries.size()) + " queries, mode " +
-               (opts.mode == CacheBuildMode::kPinum ? "pinum" : "classic") +
-               ", add_candidates " + std::to_string(dopts.add_candidates));
+               std::to_string(queries.size()) + " queries, " +
+               std::to_string(opts.num_threads) + " threads, add_candidates " +
+               std::to_string(dopts.add_candidates));
   // Per-case world copies: drift mutates them, the fixture's pristine
   // originals serve the next case.
   CandidateSet set = pristine_set;
@@ -144,8 +144,8 @@ class IncrementalResealTest : public ::testing::Test {
   static void TearDownTestSuite() { fix_.reset(); }
 
   static void RunStarCase(size_t target, uint64_t seed,
-                          const DriftOptions& dopts = {}) {
-    WorkloadCacheOptions opts;
+                          const DriftOptions& dopts = {},
+                          const WorkloadCacheOptions& opts = {}) {
     RunDifferentialCase(fix_->catalog(), fix_->set, fix_->stats(),
                         fix_->queries(), target, seed, opts, dopts);
   }
@@ -161,9 +161,13 @@ TEST_F(IncrementalResealTest, NoDriftRebuildsNothing) {
 
 TEST_F(IncrementalResealTest, SingleQueryDrift) {
   // k = 1-ish: the generator drifts the smallest-radius table, so the
-  // stale set is as small as the topology allows.
+  // stale set is as small as the topology allows. The last case runs
+  // serial (num_threads = 1) to pin the pool-free path.
   RunStarCase(1, 13);
   RunStarCase(1, 17);
+  WorkloadCacheOptions serial;
+  serial.num_threads = 1;
+  RunStarCase(1, 61, {}, serial);
 }
 
 TEST_F(IncrementalResealTest, HalfWorkloadDrift) {
@@ -477,24 +481,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param;
     });
-
-TEST(IncrementalResealMiniTest, ClassicModeDifferential) {
-  // The classic (one-call-per-IOC) builder exercises the store's
-  // per-candidate and fallback invalidation tiers; MiniStar keeps the
-  // IOC explosion affordable. Also runs serial (num_threads = 1) to pin
-  // the pool-free path.
-  MiniWorkloadFixture mini;
-  for (const uint64_t seed : {61u, 67u}) {
-    for (const size_t target : {size_t{1}, mini.queries.size()}) {
-      WorkloadCacheOptions opts;
-      opts.mode = CacheBuildMode::kClassic;
-      opts.num_threads = 1;
-      RunDifferentialCase(mini.mini.db.catalog(), mini.set,
-                          mini.mini.db.stats(), mini.queries, target, seed,
-                          opts);
-    }
-  }
-}
 
 TEST(IncrementalResealMiniTest, VaryQueryMixComposesWithUniqueNames) {
   // Rounds compose: feeding one round's mix (clones included) into the

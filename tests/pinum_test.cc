@@ -121,6 +121,26 @@ TEST_F(PinumTest, FewerCallsThanClassic) {
             (istats.plan_cache_calls + istats.access_cost_calls) / 5);
 }
 
+TEST_F(PinumTest, ClassicWithoutCandidatesPricesTheHeap) {
+  // With no candidate on the query's tables, classic INUM makes no
+  // per-candidate access call. It must still price every table's heap
+  // (regression: its cache then held no access costs, so every plan
+  // priced +inf).
+  auto empty = MakeCandidateSet(mini_.db.catalog(), {});
+  ASSERT_TRUE(empty.ok());
+  const Query q = mini_.ThreeWayQuery();
+  InumBuildStats istats;
+  auto classic = BuildInumCacheClassic(q, mini_.db.catalog(), *empty,
+                                       mini_.db.stats(), {}, &istats);
+  ASSERT_TRUE(classic.ok()) << classic.status().ToString();
+  auto pinum = BuildInumCachePinum(q, mini_.db.catalog(), *empty,
+                                   mini_.db.stats(), {}, nullptr);
+  ASSERT_TRUE(pinum.ok()) << pinum.status().ToString();
+  EXPECT_EQ(istats.access_cost_calls, 1);
+  EXPECT_LT(classic->Cost({}), kInfiniteCost);
+  EXPECT_EQ(classic->Cost({}), pinum->Cost({}));
+}
+
 TEST_F(PinumTest, NljCallCountKnob) {
   PinumBuildOptions opts;
   opts.nlj_extreme_calls = 0;

@@ -118,16 +118,19 @@ void ExpectDeltaBitIdentical(const FamilyFixture& fix,
 /// The shared star fixture (tests/test_util.h — the paper's workload
 /// capped at 5-way joins: the classic fixture build is one optimizer
 /// call per IOC and the 6/7-way queries alone have 384 + 960 IOCs,
-/// minutes under sanitizers for no added coverage) with PINUM and
-/// classic caches — shared across the suite because cache construction
-/// is the expensive part.
+/// minutes under sanitizers for no added coverage) with the builder's
+/// PINUM caches and classic INUM's per-query caches, sealed the same
+/// way — shared across the suite because cache construction is the
+/// expensive part.
 class SealedCacheTest : public ::testing::Test {
  protected:
   struct Fixture {
     std::unique_ptr<StarFixture> star;
     WorkloadCacheResult pinum;
+    /// Only `sealed` is filled: the workload builder builds PINUM only.
     WorkloadCacheResult classic;
-    /// The build-time oracles (BuildQueryCache) for the two results.
+    /// The build-time oracles: BuildQueryCache for `pinum`,
+    /// BuildInumCacheClassic for `classic`.
     std::vector<InumCache> pinum_caches;
     std::vector<InumCache> classic_caches;
 
@@ -141,21 +144,15 @@ class SealedCacheTest : public ::testing::Test {
     ASSERT_NE(star, nullptr);
     fix_ = new Fixture{std::move(star), {}, {}, {}, {}};
 
-    WorkloadCacheOptions copts;
-    copts.mode = CacheBuildMode::kClassic;
-    Build({}, &fix_->pinum, &fix_->pinum_caches);
-    Build(copts, &fix_->classic, &fix_->classic_caches);
-  }
-  /// BuildAll with `opts` into `result`, plus the BuildQueryCache
-  /// oracle from the same builder into `caches`.
-  static void Build(WorkloadCacheOptions opts, WorkloadCacheResult* result,
-                    std::vector<InumCache>* caches) {
-    WorkloadCacheBuilder builder(&fix_->star->catalog(), &fix_->star->set,
-                                 &fix_->star->stats(), opts);
-    auto built = builder.BuildAll(fix_->star->queries());
+    const StarFixture& s = *fix_->star;
+    WorkloadCacheBuilder builder(&s.catalog(), &s.set, &s.stats());
+    auto built = builder.BuildAll(s.queries());
     ASSERT_TRUE(built.ok()) << built.status().ToString();
-    *result = std::move(*built);
-    *caches = BuildQueryCaches(&builder, fix_->star->queries());
+    fix_->pinum = std::move(*built);
+    fix_->pinum_caches = BuildQueryCaches(&builder, s.queries());
+    fix_->classic_caches =
+        BuildClassicCaches(s.catalog(), s.set, s.stats(), s.queries());
+    fix_->classic.sealed = SealCaches(fix_->classic_caches, s.set);
   }
   static void TearDownTestSuite() {
     delete fix_;

@@ -285,6 +285,27 @@ TEST_F(ServingEngineTest, StaleNamesTracksDriftAndResealClearsIt) {
   EXPECT_TRUE(engine.Health().last_error.ok());
 }
 
+TEST_F(ServingEngineTest, StaleNamesCoversAResultShorterThanTheWorkload) {
+  // A result built for all but the last query is not parallel to the
+  // engine's queries (a shorter snapshot's mapped result is the same
+  // case): every query reads as stale, and a reseal cannot repair it
+  // (regression: the stamp diff read past the end of the result's
+  // stamps).
+  const std::vector<Query> shorter(queries().begin(), queries().end() - 1);
+  WorkloadCacheBuilder builder(&catalog(), &set_, &stats_);
+  auto built = builder.BuildAll(shorter);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ServingEngine engine(&builder, &queries(), std::move(*built));
+
+  std::vector<std::string> every;
+  for (const Query& q : queries()) every.push_back(q.name);
+  EXPECT_EQ(engine.StaleNames(), every);
+  auto resealed = engine.CheckAndReseal();
+  ASSERT_FALSE(resealed.ok());
+  EXPECT_EQ(resealed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.CurrentGenerationId(), 1u);
+}
+
 TEST_F(ServingEngineTest, DriftWatcherPublishesInBackground) {
   WorkloadCacheResult built;
   auto builder = MakeBuilder(&built);

@@ -847,6 +847,54 @@ TEST_F(SnapshotTest, CostModelChangeStalesEveryQuery) {
   }
 }
 
+TEST_F(SnapshotTest, LongerSnapshotStalesEveryQuery) {
+  // A snapshot of a longer workload whose names begin with this one's is
+  // not this workload's snapshot (its restored result sums every stored
+  // cache), so every query reads as stale, through both readers, and
+  // RebuildQueries rejects the restored result; the caller rebuilds.
+  const std::vector<Query>& all = fix_->star->queries();
+  const std::vector<Query> shorter(all.begin(), all.end() - 1);
+  std::vector<size_t> every(shorter.size());
+  std::vector<std::string> every_name;
+  for (size_t i = 0; i < every.size(); ++i) {
+    every[i] = i;
+    every_name.push_back(shorter[i].name);
+  }
+  auto expect_every_query_stale = [&](const WorkloadCacheResult& restored,
+                                      const std::vector<std::string>& names) {
+    EXPECT_EQ(fix_->builder->StaleQueries(names, restored.stamps, shorter),
+              every);
+    auto resealed =
+        fix_->builder->RebuildQueries(every_name, shorter, restored);
+    ASSERT_FALSE(resealed.ok());
+    EXPECT_EQ(resealed.status().code(), StatusCode::kInvalidArgument);
+  };
+  {
+    SCOPED_TRACE("LoadSnapshot");
+    auto loaded = fix_->builder->LoadSnapshot(fix_->path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    std::vector<std::string> names;
+    const WorkloadCacheResult restored =
+        WorkloadCacheBuilder::ResultFromSnapshot(std::move(*loaded), &names);
+    expect_every_query_stale(restored, names);
+  }
+  {
+    SCOPED_TRACE("LoadSnapshotMapped");
+    std::vector<std::string> names;
+    auto mapped = fix_->builder->LoadSnapshotMapped(fix_->path, &names);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    expect_every_query_stale(*mapped, names);
+  }
+}
+
+TEST_F(SnapshotTest, QueryStampIsStableAcrossBuilds) {
+  // Snapshots on disk carry these stamps: a change to the recipe (what
+  // QueryStamp folds, or in what order) stales every stored snapshot.
+  // Change this constant only together with such a deliberate change.
+  EXPECT_EQ(fix_->builder->QueryStamp(fix_->star->queries()[0]),
+            0xde47547d9f7fe2f2ULL);
+}
+
 TEST_F(SnapshotTest, SaveWritesTheCachesItIsGiven) {
   // A save writes the caches it is handed, never the previous file's
   // records. Swap two queries' caches but not their stamps, so every

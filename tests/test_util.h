@@ -18,6 +18,7 @@
 #include "advisor/greedy_advisor.h"
 #include "common/rng.h"
 #include "inum/access_cost_table.h"
+#include "inum/inum_builder.h"
 #include "query/query.h"
 #include "stats/table_stats.h"
 #include "storage/database.h"
@@ -29,8 +30,8 @@
 namespace pinum {
 
 /// The build-time oracle: every query's InumCache, rebuilt by `builder`
-/// with the mode, knobs and shared store its BuildAll used (call it
-/// after that BuildAll, under the same world). EXPECTs every build to
+/// with the knobs and shared store its BuildAll used (call it after
+/// that BuildAll, under the same world). EXPECTs every build to
 /// succeed; a failed query gets an empty cache.
 inline std::vector<InumCache> BuildQueryCaches(
     WorkloadCacheBuilder* builder, const std::vector<Query>& queries) {
@@ -42,6 +43,35 @@ inline std::vector<InumCache> BuildQueryCaches(
     caches.push_back(cache.ok() ? std::move(*cache) : InumCache{});
   }
   return caches;
+}
+
+/// Classic INUM, the paper's per-query baseline: every query's
+/// BuildInumCacheClassic cache. EXPECTs every build to succeed; a failed
+/// query gets an empty cache.
+inline std::vector<InumCache> BuildClassicCaches(
+    const Catalog& catalog, const CandidateSet& set,
+    const StatsCatalog& stats, const std::vector<Query>& queries,
+    const InumBuildOptions& options = {}) {
+  std::vector<InumCache> caches;
+  caches.reserve(queries.size());
+  for (const Query& q : queries) {
+    auto cache =
+        BuildInumCacheClassic(q, catalog, set, stats, options, nullptr);
+    EXPECT_TRUE(cache.ok()) << q.name << ": " << cache.status().ToString();
+    caches.push_back(cache.ok() ? std::move(*cache) : InumCache{});
+  }
+  return caches;
+}
+
+/// Seals `caches` over `set`'s universe, as BuildAll seals each build.
+inline std::vector<SealedCache> SealCaches(const std::vector<InumCache>& caches,
+                                           const CandidateSet& set) {
+  std::vector<SealedCache> sealed;
+  sealed.reserve(caches.size());
+  for (const InumCache& cache : caches) {
+    sealed.push_back(SealedCache::Seal(cache, set.NumIndexIds()));
+  }
+  return sealed;
 }
 
 /// Every field of two advisor runs, compared exactly — costs are
@@ -291,8 +321,8 @@ class MiniStar {
 };
 
 /// MiniStar plus its two-query workload and candidate universe — the
-/// fast build fixture WorkloadCacheTest and the classic-mode
-/// differential reseal case share (previously hand-rolled per suite).
+/// fast build fixture WorkloadCacheTest and the IncrementalResealMiniTest
+/// cases share.
 struct MiniWorkloadFixture {
   MiniWorkloadFixture() {
     queries = {mini.JoinQuery(), mini.ThreeWayQuery()};
