@@ -47,7 +47,8 @@ const std::vector<double>& WorkloadCostEvaluator::BatchCostWithExtras(
   // Context reuse across calls: the greedy advisor's bases grow one
   // winner at a time, so the common case extends the pinned contexts by
   // one id's postings instead of re-resolving every term against the
-  // whole base.
+  // whole base. A context the winner did not change, or one re-pinned
+  // to bitwise-equal values, keeps its memoized sweep answers.
   const bool reuse = scratch->pinned_valid && base == scratch->pinned_base;
   const bool extend =
       !reuse && scratch->pinned_valid &&
@@ -77,8 +78,9 @@ const std::vector<double>& WorkloadCostEvaluator::BatchCostWithExtras(
   const uint32_t* position_of_id = scratch->position_of_id.data();
 
   // Shard by query: each query pins the base once, then sweeps every
-  // extra through its posting overlay. Slots are disjoint, so the matrix
-  // contents are deterministic regardless of scheduling.
+  // extra through its posting overlay or its memo. Slots are disjoint
+  // and each context belongs to one worker, so the matrix contents are
+  // deterministic regardless of scheduling.
   auto price_query = [&](int64_t q) {
     const SealedCache& cache = (*caches_)[static_cast<size_t>(q)];
     SealedCache::CostContext& ctx =

@@ -28,11 +28,13 @@ namespace pinum {
 /// advisor's iteration shape — through the delta path: each query's
 /// sealed cache pins the base into a CostContext once, then every extra
 /// is a sparse posting-list overlay (O(postings) instead of
-/// O(|base| x terms) per extra). Work shards across queries on the pool,
-/// per-query costs land in per-(query, extra) slots, and the final
-/// per-extra sums reduce in query order — the exact addition order the
-/// serial Cost() path uses — so the delta and batched paths return
-/// bit-identical workload costs.
+/// O(|base| x terms) per extra), or a copy of the answer the context
+/// memoized under the same pinned values (SealedCache::CostContext has
+/// the rule). Work shards across queries on the pool, per-query costs
+/// land in per-(query, extra) slots, and the final per-extra sums
+/// reduce in query order — the exact addition order the serial Cost()
+/// path uses — so the delta and batched paths return bit-identical
+/// workload costs.
 ///
 /// The evaluator consumes the serve-time SealedCache form only, and so
 /// does the advisor: WorkloadCacheBuilder hands out sealed caches, and a
@@ -45,7 +47,9 @@ class WorkloadCostEvaluator {
   /// across advisor iterations so contexts stay pinned: when a call's
   /// base equals the previous call's base plus one appended id — the
   /// greedy advisor's winner — the contexts are extended in place
-  /// (O(postings) per query) instead of re-resolved from scratch. A
+  /// (O(postings) per query) instead of re-resolved from scratch, and a
+  /// context whose values the winner left unchanged keeps its memoized
+  /// sweep, so only the queries the winner changed pay overlays. A
   /// scratch belongs to one evaluator's cache vector; do not share it
   /// across evaluators over different vectors or concurrent calls — the
   /// first call records the cache-vector identity in `bound_caches` and
@@ -126,7 +130,8 @@ class WorkloadCostEvaluator {
 /// baseline kept for verification and benchmarking.
 enum class AdvisorCostPath {
   /// Pin chosen-so-far into per-query contexts once per iteration, sweep
-  /// candidates through SealedCache::CostWithExtra posting overlays.
+  /// candidates through SealedCache posting overlays (memoized per
+  /// context while its pinned values are unchanged).
   kDelta,
   /// Re-price chosen + {cand} from scratch per candidate (PR-2 path).
   kBatched,

@@ -216,10 +216,11 @@ SearchResult RunSearchAdvisor(const WorkloadCostEvaluator& evaluator,
 
   // Swap/backtracking local moves on the incumbent: evict one chosen
   // index, greedy-complete from the freed budget (the re-sweep prices
-  // through BatchCostWithExtras with the shared pinned scratch), accept
-  // strictly-improving moves that pass the same benefit floor greedy
-  // stops under. Candidates provably still below the floor are pruned
-  // via the posting-overlap signatures.
+  // through BatchCostWithExtras with the shared pinned scratch, whose
+  // re-pin keeps a query's memoized sweep when the eviction left its
+  // pinned values unchanged), accept strictly-improving moves that pass
+  // the same benefit floor greedy stops under. Candidates provably still
+  // below the floor are pruned via the posting-overlap signatures.
   GreedyRun& incumbent = runs[best];
   IndexConfig chosen = incumbent.chosen;
   int64_t used_bytes = incumbent.used_bytes;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -63,6 +64,13 @@ struct BuildTerm {
   std::vector<double> row;
   bool feasible = false;
 };
+
+/// A sweep-memo slot that holds no answer yet. No answer can be NaN:
+/// ScanPlans seeds with the base cost or +inf (never NaN) and only
+/// replaces its best on `cost < best`, which a NaN cost fails. +inf is a
+/// real answer, so it cannot mark a slot. (Under -ffast-math the
+/// compiler may drop the NaN test; the build must not use it.)
+constexpr double kUnpriced = std::numeric_limits<double>::quiet_NaN();
 
 }  // namespace
 
@@ -526,13 +534,13 @@ double SealedCache::ScanPlans(const double* values, double seed) const {
   return best;
 }
 
-void SealedCache::PrepareContext(const IndexConfig& base,
-                                 CostContext* ctx) const {
+void SealedCache::FoldConfig(const IndexConfig& config,
+                             std::vector<double>* out) const {
   const size_t num_terms = term_bases_.size();
-  ctx->values_.resize(num_terms);
-  std::copy(term_bases_.begin(), term_bases_.end(), ctx->values_.begin());
-  double* values = ctx->values_.data();
-  for (IndexId id : base) {
+  out->resize(num_terms);
+  std::copy(term_bases_.begin(), term_bases_.end(), out->begin());
+  double* values = out->data();
+  for (IndexId id : config) {
     // Ids outside the sealed universe price as absent, like ids missing
     // from the unsealed table's per-slot maps. Per term, the fold order
     // matches the unsealed min exactly: base first, then each
@@ -545,18 +553,33 @@ void SealedCache::PrepareContext(const IndexConfig& base,
       }
     }
   }
+}
+
+void SealedCache::PrepareContext(const IndexConfig& base,
+                                 CostContext* ctx) const {
+  FoldConfig(base, &ctx->folded_);
+  // Same seal, same bits: the base cost and every memoized overlay are
+  // what a fresh pin would compute. memcmp, not ==, so a -0.0/+0.0 or
+  // NaN bit difference counts as a change. (An empty fold may have no
+  // buffer, and memcmp must not see a null pointer.)
+  if (ctx->seal_id_ == seal_id_ &&
+      (ctx->folded_.empty() ||
+       std::memcmp(ctx->folded_.data(), ctx->values_.data(),
+                   ctx->folded_.size() * sizeof(double)) == 0)) {
+    return;
+  }
+  ctx->values_.swap(ctx->folded_);
   ctx->base_cost_ = ScanPlans(ctx->values_.data(), kInfiniteCost);
-  ctx->undo_.clear();
+  ctx->memo_.assign(posting_ids_.size(), kUnpriced);
   ctx->seal_id_ = seal_id_;
 }
 
 double SealedCache::Cost(const IndexConfig& config) const {
-  // One configuration is a context prepared and read once. The scratch
-  // context is thread-local so concurrent Cost() calls (the batched
-  // evaluator prices configurations on a pool) never share it.
-  static thread_local CostContext scratch;
-  PrepareContext(config, &scratch);
-  return scratch.base_cost_;
+  // Thread-local so concurrent Cost() calls (the batched evaluator
+  // prices configurations on a pool) never share it.
+  static thread_local std::vector<double> values;
+  FoldConfig(config, &values);
+  return ScanPlans(values.data(), kInfiniteCost);
 }
 
 double SealedCache::CostOverlay(CostContext* ctx, uint32_t begin,
@@ -610,6 +633,7 @@ void SealedCache::ExtendContext(CostContext* ctx, IndexId extra) const {
   }
   if (changed) {
     ctx->base_cost_ = ScanPlans(ctx->values_.data(), ctx->base_cost_);
+    std::fill(ctx->memo_.begin(), ctx->memo_.end(), kUnpriced);
   }
 }
 
@@ -628,16 +652,22 @@ void SealedCache::CostActiveExtrasInto(CostContext* ctx,
                                        size_t map_size, double* out) const {
   assert(ctx->seal_id_ == seal_id_ &&
          "CostContext is stale: the cache was resealed since PrepareContext");
+  assert(ctx->memo_.size() == posting_ids_.size());
   // Inverted loop: instead of asking "does this swept id have postings
   // here" per extra, walk the (usually much shorter) posting-bearing id
-  // list and ask "is this id being swept".
+  // list and ask "is this id being swept". Position k of the list is
+  // the id's memo slot.
   const uint32_t* offsets = posting_offsets_.data();
-  for (const IndexId id : posting_ids_) {
-    if (static_cast<size_t>(id) >= map_size) continue;
-    const uint32_t slot = position_of_id[static_cast<size_t>(id)];
+  double* memo = ctx->memo_.data();
+  for (size_t k = 0; k < posting_ids_.size(); ++k) {
+    const size_t id = static_cast<size_t>(posting_ids_[k]);
+    if (id >= map_size) continue;
+    const uint32_t slot = position_of_id[id];
     if (slot == kNotSwept) continue;
-    out[slot] = CostOverlay(ctx, offsets[static_cast<size_t>(id)],
-                            offsets[static_cast<size_t>(id) + 1]);
+    if (std::isnan(memo[k])) {
+      memo[k] = CostOverlay(ctx, offsets[id], offsets[id + 1]);
+    }
+    out[slot] = memo[k];
   }
 }
 

@@ -26,7 +26,11 @@
 //    configuration's resolved term values, CostWithExtra prices
 //    base + {id} by folding only postings[id] — O(postings), not
 //    O(|base| x terms) — which turns the greedy advisor's inner loop
-//    from re-resolving every term per candidate into a sparse overlay;
+//    from re-resolving every term per candidate into a sparse overlay.
+//    The sweep entry point (CostActiveExtrasInto) also remembers each
+//    overlay's answer in the context, and serves it again for as long
+//    as the pin is unchanged (same seal, bitwise-equal term values), so
+//    a greedy step re-prices only the queries its winner changed;
 //  - surviving plans are sorted by ascending internal cost, so the scan
 //    early-exits as soon as internal_cost >= best_so_far (access costs
 //    are non-negative, making internal cost a lower bound). A context
@@ -99,6 +103,15 @@ class SealedCache {
   /// the same object across advisor iterations to keep its buffers warm.
   /// A context belongs to the cache that prepared it and to one thread
   /// at a time.
+  ///
+  /// It also holds the sweep memo: for each of the pinning seal's
+  /// posting-bearing ids, the cost of base + {id} that
+  /// CostActiveExtrasInto last computed, or "unpriced". An overlay is a
+  /// pure function of the seal's arrays and the pinned values (the base
+  /// cost follows from them), so the memo stays valid exactly while the
+  /// seal id and the pinned values are unchanged: ExtendContext clears
+  /// it only when the extra lowered a pinned value, and PrepareContext
+  /// keeps it when it re-pins the same seal to bitwise-equal values.
   class CostContext {
    public:
     CostContext() = default;
@@ -117,10 +130,16 @@ class SealedCache {
    private:
     friend class SealedCache;
     std::vector<double> values_;
+    /// PrepareContext folds the new base here and compares it with
+    /// values_ before the two swap; capacity persists across calls.
+    std::vector<double> folded_;
     /// (term, previous value) overlay log so CostWithExtra can restore
     /// the pinned values after each extra; capacity persists across
     /// calls.
     std::vector<std::pair<uint32_t, double>> undo_;
+    /// The sweep memo, by position in PostingBearingIds(); NaN marks an
+    /// unpriced slot (see sealed_cache.cc's kUnpriced).
+    std::vector<double> memo_;
     double base_cost_ = kInfiniteCost;
     uint64_t seal_id_ = 0;
   };
@@ -133,15 +152,20 @@ class SealedCache {
   static SealedCache Seal(const InumCache& cache, IndexId num_index_ids);
 
   /// Estimated query cost under `config`; bit-identical to
-  /// InumCache::Cost(config) on the cache this was sealed from.
+  /// InumCache::Cost(config) on the cache this was sealed from. A fold
+  /// and a scan with no context and no memo, the serving path's price.
   /// Thread-safe: concurrent Cost() calls on one cache never share state
-  /// (the scratch context is thread-local), which is what lets the
-  /// batched evaluator price configurations on a pool.
+  /// (the fold buffer is thread-local), which is what lets the batched
+  /// evaluator price configurations on a pool.
   double Cost(const IndexConfig& config) const;
 
   /// Pins `base` into `ctx`: resolves every term against `base` (a
   /// min-fold over the index-major matrix) and records the plan-scan
-  /// result, so base + {extra} questions become sparse overlays.
+  /// result, so base + {extra} questions become sparse overlays. When
+  /// `ctx` was pinned by this seal and the new values equal the old
+  /// ones bit for bit (a swap-chain re-pin whose evicted index never
+  /// lowered this query's terms), the base cost and the sweep memo are
+  /// kept and the plan scan is skipped; otherwise the memo is cleared.
   void PrepareContext(const IndexConfig& base, CostContext* ctx) const;
 
   /// Re-pins `ctx` from its base configuration B to B + {extra} by
@@ -150,7 +174,8 @@ class SealedCache {
   /// Bit-identical to PrepareContext(B + {extra}, ctx): the values agree
   /// term by term (min-folding the winner's matrix row changes exactly
   /// the posting-bearing terms) and the plan rescan seeded with the old
-  /// base cost returns the exact new minimum.
+  /// base cost returns the exact new minimum. Clears the sweep memo only
+  /// when `extra` lowered a pinned value.
   void ExtendContext(CostContext* ctx, IndexId extra) const;
 
   /// Cost of base + {extra} for the configuration pinned in `ctx`;
@@ -159,6 +184,7 @@ class SealedCache {
   /// returning, so one context serves any number of extras in any
   /// order). Ids outside the universe, ids already in the base, and ids
   /// that cannot lower any term short-circuit to ctx->base_cost().
+  /// Neither reads nor writes the sweep memo, and leaves it valid.
   double CostWithExtra(CostContext* ctx, IndexId extra) const;
 
   /// CostWithExtra for a whole sweep, the advisor-shaped entry point.
@@ -169,6 +195,9 @@ class SealedCache {
   /// out[position_of_id[id]] = CostWithExtra(ctx, id) for each one the
   /// map sweeps; every other swept id has no postings here, so its
   /// base-cost slot already holds CostWithExtra's answer bit for bit.
+  /// An id priced since the memo was last cleared is copied from the
+  /// memo; only the others pay the posting overlay, and their answers
+  /// are memoized. The bits are the same either way.
   static constexpr uint32_t kNotSwept = UINT32_MAX;
   void CostActiveExtrasInto(CostContext* ctx, const uint32_t* position_of_id,
                             size_t map_size, double* out) const;
@@ -264,6 +293,11 @@ class SealedCache {
   /// universe 0, no plans, the CSR invariant's single {0} offset. What
   /// SnapshotCodec encodes when asked to persist a default cache.
   static std::string PackEmptyImage();
+
+  /// Resolves every term against `config` into `out` (resized to
+  /// NumTerms()): the term bases min-folded with each in-universe
+  /// configuration id's matrix row, in configuration order.
+  void FoldConfig(const IndexConfig& config, std::vector<double>* out) const;
 
   /// Min over plans of internal + sum(multiplier x values[term]), seeded
   /// with upper bound `seed` (kInfiniteCost for a from-scratch scan);

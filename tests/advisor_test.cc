@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "advisor/candidate_generator.h"
 #include "advisor/greedy_advisor.h"
 #include "optimizer/path.h"
@@ -324,7 +328,10 @@ TEST_F(AdvisorTest, BatchCostWithExtrasMatchesBatchCost) {
   // The evaluator's delta batch must price base + {extra} exactly like
   // the from-scratch batch, including extras already in the base and
   // ids outside the universe, and context reuse across calls (same
-  // base, then base grown by one) must not change anything.
+  // base, then base grown by one) must not change anything. Then the
+  // swap chain's shape: the same scratch asked for the base minus one
+  // id (each position once), which re-pins every context and keeps the
+  // sweep memo where the values did not change, then grown again.
   std::vector<SealedCache> sealed;
   for (const InumCache& cache : caches_) {
     sealed.push_back(SealedCache::Seal(cache, set_.NumIndexIds()));
@@ -336,8 +343,7 @@ TEST_F(AdvisorTest, BatchCostWithExtrasMatchesBatchCost) {
   extras.push_back(set_.NumIndexIds() + 7);
   extras.push_back(kInvalidIndexId);
 
-  IndexConfig base;
-  for (int round = 0; round < 3; ++round) {
+  auto expect_batch = [&](const IndexConfig& base, const std::string& step) {
     std::vector<IndexConfig> configs;
     for (IndexId extra : extras) {
       IndexConfig config = base;
@@ -345,18 +351,32 @@ TEST_F(AdvisorTest, BatchCostWithExtrasMatchesBatchCost) {
       configs.push_back(std::move(config));
     }
     const std::vector<double> expected = evaluator.BatchCost(configs);
-    // Twice with the same scratch: first call prepares (round 0) or
-    // extends (later rounds), second reuses the pinned contexts.
+    // Twice with the same scratch: the first call prepares or extends,
+    // the second reuses the pinned contexts.
     for (int pass = 0; pass < 2; ++pass) {
       const std::vector<double>& got =
           evaluator.BatchCostWithExtras(base, extras, &scratch);
       ASSERT_EQ(got.size(), expected.size());
       for (size_t e = 0; e < expected.size(); ++e) {
-        EXPECT_EQ(got[e], expected[e])
-            << "round " << round << " pass " << pass << " extra " << e;
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[e]),
+                  std::bit_cast<uint64_t>(expected[e]))
+            << step << " pass " << pass << " extra " << e;
       }
     }
+  };
+
+  ASSERT_GE(set_.candidate_ids.size(), 6u);
+  IndexConfig base;
+  for (int round = 0; round < 3; ++round) {
+    expect_batch(base, "round " + std::to_string(round));
     base.push_back(set_.candidate_ids[round]);  // next round extends
+  }
+  for (size_t pos = 0; pos < base.size(); ++pos) {
+    IndexConfig swap_base = base;
+    swap_base.erase(swap_base.begin() + static_cast<ptrdiff_t>(pos));
+    expect_batch(swap_base, "evict " + std::to_string(pos));
+    swap_base.push_back(set_.candidate_ids[3 + pos]);
+    expect_batch(swap_base, "evict " + std::to_string(pos) + " regrow");
   }
 }
 

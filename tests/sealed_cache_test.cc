@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "advisor/candidate_generator.h"
@@ -112,6 +115,46 @@ void ExpectDeltaBitIdentical(const FamilyFixture& fix,
                 sealed.Cost(base))
           << "query " << qi << " trial " << trial;
     }
+  }
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+/// One memoized sweep, checked against a fresh pin: CostActiveExtrasInto
+/// through `ctx` (pinned on `config` by whatever steps led here) over a
+/// seeded random subset of `extras` must return, bit for bit, what
+/// CostWithExtra returns through a context freshly prepared on `config`.
+void ExpectSweepMatchesFreshContext(const SealedCache& sealed,
+                                    SealedCache::CostContext* ctx,
+                                    const IndexConfig& config,
+                                    const std::vector<IndexId>& extras,
+                                    Rng* rng, const std::string& where) {
+  const size_t map_size = sealed.UniverseSize() + 10;
+  std::vector<uint32_t> position_of_id(map_size, SealedCache::kNotSwept);
+  std::vector<IndexId> swept;
+  for (IndexId id : extras) {
+    if (id < 0 || static_cast<size_t>(id) >= map_size || !rng->Chance(0.6)) {
+      continue;
+    }
+    uint32_t& slot = position_of_id[static_cast<size_t>(id)];
+    if (slot != SealedCache::kNotSwept) continue;  // the map is injective
+    slot = static_cast<uint32_t>(swept.size());
+    swept.push_back(id);
+  }
+  std::vector<double> got(swept.size(), ctx->base_cost());
+  sealed.CostActiveExtrasInto(ctx, position_of_id.data(), map_size,
+                              got.data());
+
+  SealedCache::CostContext fresh;
+  sealed.PrepareContext(config, &fresh);
+  EXPECT_TRUE(SameBits(ctx->base_cost(), fresh.base_cost())) << where;
+  for (size_t e = 0; e < swept.size(); ++e) {
+    const double want = sealed.CostWithExtra(&fresh, swept[e]);
+    EXPECT_TRUE(SameBits(got[e], want))
+        << where << " extra " << swept[e] << ": " << got[e] << " vs "
+        << want;
   }
 }
 
@@ -438,6 +481,151 @@ TEST_P(FamilySealedCacheTest, SealTimePruningFiresWherePinned) {
   } else if (family == "star") {
     EXPECT_EQ(pruned, 0u);
   }
+}
+
+TEST_P(FamilySealedCacheTest, MemoizedSweepsMatchFreshContexts) {
+  // The sweep memo may serve an answer only under the pin it was
+  // computed for. One context per query walks the re-pins the advisor
+  // makes: a new base, the same base again, the base minus one id (a
+  // swap-chain re-pin), growth by an id that lowers a pinned value, by
+  // one that lowers nothing and by one outside the universe, with
+  // single CostWithExtra calls in between. Last, it moves to a second
+  // seal whose pinned values are bitwise equal but whose postings
+  // differ. After every step a memoized sweep must match a fresh
+  // context's overlays bit for bit.
+  auto fix = MakeFamilyFixture(GetParam());
+  ASSERT_NE(fix, nullptr);
+  SCOPED_TRACE(fix->trace());
+  WorkloadCacheBuilder builder(&fix->catalog(), &fix->set, &fix->stats());
+  auto built = builder.BuildAll(fix->queries());
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const std::vector<InumCache> caches =
+      BuildQueryCaches(&builder, fix->queries());
+  const std::vector<Query>& queries = fix->queries();
+  const IndexId universe = fix->set.NumIndexIds();
+  const IndexId outside = universe + 3;
+  std::vector<IndexId> extras = fix->set.candidate_ids;
+  extras.push_back(universe);  // bears postings on the second seal only
+  extras.push_back(outside);
+  Rng rng(239);
+  size_t wider_repins = 0;
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const SealedCache& sealed = built->sealed[qi];
+    const std::string query = "query " + std::to_string(qi) + " ";
+    SealedCache::CostContext ctx;
+    IndexConfig config;
+    auto sweep = [&](const std::string& step) {
+      ExpectSweepMatchesFreshContext(sealed, &ctx, config, extras, &rng,
+                                     query + step);
+    };
+    auto single = [&](const std::string& step) {
+      const IndexId id = extras[rng.Index(extras.size())];
+      IndexConfig full = config;
+      full.push_back(id);
+      EXPECT_TRUE(SameBits(sealed.CostWithExtra(&ctx, id), sealed.Cost(full)))
+          << query << step << " extra " << id;
+    };
+
+    for (int round = 0; round < 3; ++round) {
+      const std::string r = "round " + std::to_string(round) + " ";
+      config = round % 2 == 0
+                   ? RandomAtomicConfig(queries[qi], fix->set, &rng)
+                   : RandomSubsetConfig(fix->set, &rng,
+                                        rng.NextDouble() * 0.15);
+      sealed.PrepareContext(config, &ctx);
+      sweep(r + "prepare");
+      single(r + "prepare");
+      sealed.PrepareContext(config, &ctx);
+      sweep(r + "same base");
+      if (!config.empty()) {
+        // Evict an id whose removal moves the cost when there is one, so
+        // the re-pin changes pinned values.
+        size_t evict = rng.Index(config.size());
+        for (size_t i = 0; i < config.size(); ++i) {
+          IndexConfig without = config;
+          without.erase(without.begin() + static_cast<ptrdiff_t>(i));
+          if (sealed.Cost(without) != sealed.Cost(config)) {
+            evict = i;
+            break;
+          }
+        }
+        config.erase(config.begin() + static_cast<ptrdiff_t>(evict));
+        sealed.PrepareContext(config, &ctx);
+        sweep(r + "evict");
+        single(r + "evict");
+      }
+      // An id that lowers the cost lowers a pinned value; failing one,
+      // any posting-bearing id outside the base still lowers a term.
+      IndexId lowering = kInvalidIndexId;
+      for (IndexId id : sealed.PostingBearingIds()) {
+        if (std::find(config.begin(), config.end(), id) != config.end()) {
+          continue;
+        }
+        IndexConfig grown = config;
+        grown.push_back(id);
+        if (lowering == kInvalidIndexId) lowering = id;
+        if (sealed.Cost(grown) < sealed.Cost(config)) {
+          lowering = id;
+          break;
+        }
+      }
+      if (lowering != kInvalidIndexId) {
+        sealed.ExtendContext(&ctx, lowering);
+        config.push_back(lowering);
+        sweep(r + "extend lowering");
+      }
+      // An id already in the base lowers nothing.
+      if (!config.empty()) {
+        const IndexId again = config[rng.Index(config.size())];
+        sealed.ExtendContext(&ctx, again);
+        config.push_back(again);
+        sweep(r + "extend nothing");
+        single(r + "extend nothing");
+      }
+      sealed.ExtendContext(&ctx, outside);
+      config.push_back(outside);
+      sweep(r + "extend outside");
+    }
+
+    // A second seal of the same plans, as a rebuilt query's reseal can
+    // be: the appended id `universe`, and the lowest id that bears no
+    // postings here but sits below one that does (so later ids move up a
+    // memo position), each get a cheap unordered scan on every table. A
+    // base holding neither pins bitwise-equal values on both seals, so
+    // only the seal id can tell the memos apart.
+    const ArenaSpan<IndexId> bearing = sealed.PostingBearingIds();
+    IndexId quiet = kInvalidIndexId;
+    for (IndexId id = 0; !bearing.empty() && id < bearing.back(); ++id) {
+      if (std::find(bearing.begin(), bearing.end(), id) == bearing.end()) {
+        quiet = id;
+        break;
+      }
+    }
+    InumCache copy = caches[qi];
+    for (size_t pos = 0; pos < queries[qi].tables.size(); ++pos) {
+      TableAccessInfo info;
+      info.pos = static_cast<int>(pos);
+      for (IndexId id : {quiet, universe}) {
+        if (id == kInvalidIndexId) continue;
+        ScanOption scan;
+        scan.index = id;
+        scan.cost.total = copy.access().HeapCost(info.pos) / 2;
+        info.options.push_back(scan);
+      }
+      copy.mutable_access()->Absorb(info);
+    }
+    const SealedCache wider = SealedCache::Seal(copy, universe + 1);
+    std::erase(config, quiet);
+    sealed.PrepareContext(config, &ctx);
+    sweep("before the second seal");
+    wider.PrepareContext(config, &ctx);
+    ExpectSweepMatchesFreshContext(wider, &ctx, config, extras, &rng,
+                                   query + "second seal");
+    if (wider.PostingBearingIds().size() > bearing.size()) ++wider_repins;
+  }
+  // The second-seal step tested something: some queries gained
+  // posting-bearing ids.
+  EXPECT_GT(wider_repins, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
