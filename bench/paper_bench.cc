@@ -1,8 +1,9 @@
 // The paper's figures on the paper workload and the eight corpus cells
 // (WorkloadFamilyNames() x seeds {1, 2}): Fig. 4/5 build time and calls,
 // Sec. IV redundancy, ablations A1 and A2, VI-C accuracy, and PINUM
-// workload builds with shared access-cost calls next to classic INUM's
-// serial baseline; plus VI-B and Fig. 6/7 on the paper workload, the
+// workload builds with work shared across queries (one build per
+// statement, shared access-cost calls) next to classic INUM's serial
+// baseline; plus VI-B and Fig. 6/7 on the paper workload, the
 // only one the star generator materializes. Each query's caches are
 // built once per variant, and one direct optimizer call per sampled
 // configuration is the truth every error column reads.
@@ -257,10 +258,10 @@ void PrintQueryFigures(const std::string& cell,
 }
 
 /// The workload figure: PINUM's serial vs parallel builds and cross-query
-/// access-cost sharing over the cell's queries replicated `replicas`
-/// times, next to classic INUM's serial per-query baseline; then the
-/// cell's shape from one default build of the unreplicated queries and a
-/// greedy advisor run.
+/// sharing (one build per distinct statement, shared access-cost calls)
+/// over the cell's queries replicated `replicas` times, next to classic
+/// INUM's serial per-query baseline; then the cell's shape from one
+/// default build of the unreplicated queries and a greedy advisor run.
 Status RunWorkloadFigure(const std::string& cell, const WorkloadInstance& w,
                          const std::vector<Query>& queries, int replicas,
                          double gen_ms, bench::JsonSummary* json) {
@@ -273,16 +274,19 @@ Status RunWorkloadFigure(const std::string& cell, const WorkloadInstance& w,
               w.set.candidate_ids.size(), std::thread::hardware_concurrency());
   double serial_ms = 0;
   auto row = [&](const char* label, const std::string& run_key, double ms,
-                 int64_t plan_calls, int64_t access_calls, int64_t saved) {
+                 int64_t plan_calls, int64_t access_calls, int64_t saved,
+                 int64_t shared_builds) {
     if (serial_ms == 0) serial_ms = ms;
     std::printf("%-26s %10.1f ms %8.2fx | plan calls %6lld | access calls "
-                "%6lld (saved %lld)\n",
+                "%6lld (saved %lld) | shared builds %lld\n",
                 label, ms, serial_ms / ms, static_cast<long long>(plan_calls),
                 static_cast<long long>(access_calls),
-                static_cast<long long>(saved));
+                static_cast<long long>(saved),
+                static_cast<long long>(shared_builds));
     json->Set(key + run_key + "_ms", ms);
     json->Set(key + run_key + "_plan_calls", plan_calls);
     json->Set(key + run_key + "_access_calls", access_calls);
+    json->Set(key + run_key + "_shared_builds", shared_builds);
   };
   struct Run {
     const char* key;
@@ -292,19 +296,20 @@ Status RunWorkloadFigure(const std::string& cell, const WorkloadInstance& w,
   };
   constexpr Run kRuns[] = {
       {"serial", "serial, no sharing", 1, false},
-      {"serial_shared", "serial, shared access", 1, true},
-      {"parallel_shared", "parallel, shared access", 0, true}};
+      {"serial_shared", "serial, shared builds", 1, true},
+      {"parallel_shared", "parallel, shared builds", 0, true}};
   std::printf("== PINUM ==\n");
   for (const Run& run : kRuns) {
     WorkloadCacheOptions opts;
     opts.num_threads = run.threads;
-    opts.share_access_costs = run.share;
+    opts.share_across_queries = run.share;
     WorkloadCacheBuilder builder(&w.catalog(), &w.set, &w.stats(), opts);
     PINUM_ASSIGN_OR_RETURN(WorkloadCacheResult built,
                            builder.BuildAll(replicated));
     const WorkloadCacheStats& t = built.totals;
     row(run.label, std::string("pinum_") + run.key, t.wall_ms,
-        t.plan_cache_calls, t.access_cost_calls, t.access_calls_saved);
+        t.plan_cache_calls, t.access_cost_calls, t.access_calls_saved,
+        t.shared_builds);
   }
   // Classic INUM is the paper's per-query baseline: one call per IOC and
   // NLJ setting plus one per candidate, nothing shared across queries.
@@ -321,7 +326,7 @@ Status RunWorkloadFigure(const std::string& cell, const WorkloadInstance& w,
     classic.access_cost_calls += stats.access_cost_calls;
   }
   row("serial, no sharing", "classic_serial", classic_sw.ElapsedMillis(),
-      classic.plan_cache_calls, classic.access_cost_calls, 0);
+      classic.plan_cache_calls, classic.access_cost_calls, 0, 0);
 
   WorkloadCacheBuilder builder(&w.catalog(), &w.set, &w.stats());
   Stopwatch build_sw;

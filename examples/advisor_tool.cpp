@@ -236,9 +236,10 @@ int main(int argc, char** argv) {
     }
     serving = std::move(*restored);
   } else {
-    // One PINUM cache per query — a handful of optimizer calls each
-    // instead of the hundreds-to-thousands classic INUM would need —
-    // built concurrently with access-cost calls shared across queries.
+    // One PINUM cache per distinct statement — a handful of optimizer
+    // calls each instead of the hundreds-to-thousands classic INUM would
+    // need — built concurrently, with repeated statements sharing one
+    // build and access-cost calls shared across queries.
     auto built = builder.BuildAll(workload->queries());
     if (!built.ok()) {
       std::fprintf(stderr, "%s\n", built.status().ToString().c_str());

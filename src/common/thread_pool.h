@@ -1,5 +1,5 @@
 // A small fixed-size thread pool used to parallelize embarrassingly
-// parallel build work (one INUM/PINUM cache per workload query, batched
+// parallel build work (one PINUM cache per distinct statement, batched
 // configuration pricing) and the serving engine's coalesced sweeps.
 // Results are written into caller-indexed slots, so output is
 // deterministic regardless of scheduling.

@@ -10,32 +10,39 @@ std::string TableContextSignature(const Query& query, TableId table) {
   std::vector<ColumnIdx> needed = query.NeededColumns(table);
   std::sort(needed.begin(), needed.end());
 
-  std::vector<FilterPredicate> filters = query.FiltersOn(table);
-  std::sort(filters.begin(), filters.end(),
-            [](const FilterPredicate& a, const FilterPredicate& b) {
-              if (a.column != b.column) return a.column < b.column;
-              if (a.op != b.op) return a.op < b.op;
-              return a.constant < b.constant;
-            });
-
+  auto sorted_unique = [](std::vector<ColumnIdx>* cols) {
+    std::sort(cols->begin(), cols->end());
+    cols->erase(std::unique(cols->begin(), cols->end()), cols->end());
+  };
   std::vector<ColumnIdx> join_cols;
   for (const JoinPredicate& j : query.joins) {
     if (j.Touches(table)) join_cols.push_back(j.SideOn(table).column);
   }
-  std::sort(join_cols.begin(), join_cols.end());
-  join_cols.erase(std::unique(join_cols.begin(), join_cols.end()),
-                  join_cols.end());
+  sorted_unique(&join_cols);
+  // The rest of the table's interesting orders: the collector truncates
+  // every delivered order to them, so they shape the answer as much as
+  // the join columns do.
+  std::vector<ColumnIdx> order_cols;
+  for (const ColumnRef& g : query.group_by) {
+    if (g.table == table) order_cols.push_back(g.column);
+  }
+  for (const SortKey& o : query.order_by) {
+    if (o.column.table == table) order_cols.push_back(o.column.column);
+  }
+  sorted_unique(&order_cols);
 
   std::ostringstream sig;
   sig << "t" << table << "|n";
   for (ColumnIdx c : needed) sig << c << ",";
   sig << "|f";
-  for (const FilterPredicate& f : filters) {
+  for (const FilterPredicate& f : query.FiltersOn(table)) {
     sig << f.column.column << ":" << static_cast<int>(f.op) << ":"
         << f.constant << ",";
   }
   sig << "|j";
   for (ColumnIdx c : join_cols) sig << c << ",";
+  sig << "|o";
+  for (ColumnIdx c : order_cols) sig << c << ",";
   return sig.str();
 }
 

@@ -1,8 +1,9 @@
 // Cross-query sharing of access-cost optimizer calls (the workload-scale
 // extension of Section V-B/V-C): per-table access costs depend only on
 // the table's statistics and the query's column footprint on that table
-// (filters, needed columns, join columns — see BuildTableAccessInfo), so
-// two workload queries with the same footprint on a table can share one
+// (filters, needed columns, interesting orders — see
+// BuildTableAccessInfo and the collector's order truncation), so two
+// workload queries with the same footprint on a table can share one
 // optimizer call's answer instead of paying for two.
 #ifndef PINUM_INUM_ACCESS_COST_STORE_H_
 #define PINUM_INUM_ACCESS_COST_STORE_H_
@@ -19,10 +20,13 @@
 namespace pinum {
 
 /// Canonical signature of `query`'s access-cost context on `table`: the
-/// exact inputs BuildTableAccessInfo consumes — sorted needed columns,
-/// sorted filter predicates, and sorted join columns on the table.
-/// Queries with equal signatures receive numerically identical
-/// TableAccessInfo from the optimizer, by construction.
+/// exact inputs the access-path collector consumes — sorted needed
+/// columns, the filter predicates in Query::FiltersOn's canonical order
+/// (the order BuildTableAccessInfo multiplies their selectivities in),
+/// and the table's sorted interesting orders: join columns plus
+/// GROUP BY/ORDER BY columns, to which the collector truncates every
+/// delivered order. Queries with equal signatures receive bit-identical
+/// TableAccessInfo from the collector, by construction.
 std::string TableContextSignature(const Query& query, TableId table);
 
 /// Thread-safe store of access-cost answers shared by every per-query
@@ -34,6 +38,14 @@ std::string TableContextSignature(const Query& query, TableId table);
 /// Values for equal keys are identical, so concurrent builders may
 /// compute the same entry twice without affecting results — first writer
 /// wins, and duplicated work only shows up in the call accounting.
+/// WorkloadCacheBuilder builds each distinct statement once, so within
+/// one BuildAll a query skips its call only when other statements cover
+/// every one of its table footprints. In the generated workload families
+/// no statement is covered that way, so their BuildAll call counts do
+/// not depend on scheduling. RebuildQueries' counts still can: after a
+/// drift invalidates a table, stale statements rebuilt together in one
+/// pool share its re-stored entries, and which of them pays the call
+/// depends on which finishes first.
 class SharedAccessCostStore {
  public:
   /// Universe-visible info for (table, signature). Returns true and

@@ -821,8 +821,9 @@ uint64_t ComputeQueryStamp(const Query& query, const CandidateSet& set,
                            std::map<TableId, uint64_t>* table_fp_cache) {
   Fingerprint fp;
   // The query's own structure — the exact IR fields the builders
-  // consume, in positional order (the cache's slots are positional).
-  // The name is deliberately not folded: a rename is not drift.
+  // consume, in positional order (the cache's slots are positional),
+  // and the fields Query::SameStatement compares. The name is
+  // deliberately not folded: a rename is not drift.
   fp.U64(query.tables.size());
   for (TableId t : query.tables) fp.I64(t);
   fp.U64(query.select.size());

@@ -40,6 +40,9 @@ StatusOr<TableAccessInfo> BuildTableAccessInfo(const Query& query, int pos,
   info.raw_rows = std::max(1.0, tstats->row_count);
   info.heap_pages = std::max(1.0, tstats->heap_pages);
 
+  // Canonical (column, op, constant) order: the selectivity products
+  // below multiply in it, so their bits do not depend on the order the
+  // statement lists its filters in.
   const std::vector<FilterPredicate> filters = query.FiltersOn(info.table);
   info.num_filters = static_cast<int>(filters.size());
   info.filter_sel = 1.0;

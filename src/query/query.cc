@@ -32,7 +32,20 @@ std::vector<FilterPredicate> Query::FiltersOn(TableId table) const {
   for (const auto& f : filters) {
     if (f.column.table == table) out.push_back(f);
   }
+  std::sort(out.begin(), out.end(),
+            [](const FilterPredicate& a, const FilterPredicate& b) {
+              if (a.column != b.column) return a.column < b.column;
+              if (a.op != b.op) return a.op < b.op;
+              return a.constant < b.constant;
+            });
   return out;
+}
+
+bool Query::SameStatement(const Query& other) const {
+  return tables == other.tables && select == other.select &&
+         filters == other.filters && joins == other.joins &&
+         group_by == other.group_by && aggregate == other.aggregate &&
+         order_by == other.order_by;
 }
 
 namespace {

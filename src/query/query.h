@@ -18,12 +18,16 @@ struct FilterPredicate {
   ColumnRef column;
   CompareOp op = CompareOp::kEq;
   Value constant = 0;
+
+  bool operator==(const FilterPredicate&) const = default;
 };
 
 /// `left = right` equijoin predicate between two tables.
 struct JoinPredicate {
   ColumnRef left;
   ColumnRef right;
+
+  bool operator==(const JoinPredicate&) const = default;
 
   /// True if the predicate touches `table`.
   bool Touches(TableId table) const {
@@ -45,6 +49,8 @@ struct JoinPredicate {
 struct SortKey {
   ColumnRef column;
   bool ascending = true;
+
+  bool operator==(const SortKey&) const = default;
 };
 
 /// Aggregate applied to non-grouping select columns when GROUP BY is
@@ -76,8 +82,16 @@ struct Query {
   /// group-by, order-by) — determines index-only-scan eligibility.
   std::vector<ColumnIdx> NeededColumns(TableId table) const;
 
-  /// Filter predicates restricted to `table`.
+  /// Filter predicates restricted to `table`, in (column, op, constant)
+  /// order rather than statement order, so two statements listing the
+  /// same filters in different orders get equal lists: their
+  /// selectivity products then multiply in one order and agree bit for
+  /// bit.
   std::vector<FilterPredicate> FiltersOn(TableId table) const;
+
+  /// True when `other` is the same statement: every field but the name
+  /// is equal, positions included (the fields ComputeQueryStamp folds).
+  bool SameStatement(const Query& other) const;
 
   /// Renders the query as SQL text (parseable by the parser module).
   std::string ToSql(const Catalog& catalog) const;

@@ -26,7 +26,7 @@ StatusOr<InumCache> WorkloadCacheBuilder::BuildQueryCache(
   // the returned Status with the query name.
   PINUM_RETURN_IF_ERROR(FailPoint::Check("workload.build_query"));
   PinumBuildOptions opts = options_.pinum;
-  opts.shared_access = options_.share_access_costs ? &store_ : nullptr;
+  opts.shared_access = options_.share_across_queries ? &store_ : nullptr;
   PinumBuildStats stats;
   StatusOr<InumCache> cache = BuildInumCachePinum(
       query, *base_catalog_, *candidates_, *stats_, opts, &stats);
@@ -39,6 +39,7 @@ StatusOr<InumCache> WorkloadCacheBuilder::BuildQueryCache(
 
 Status WorkloadCacheBuilder::BuildAndSeal(const std::vector<Query>& queries,
                                           const std::vector<size_t>& targets,
+                                          const std::vector<uint64_t>& stamps,
                                           std::vector<SealedCache>* sealed,
                                           std::vector<QueryBuildStats>* stats,
                                           double* seal_ms) {
@@ -47,11 +48,31 @@ Status WorkloadCacheBuilder::BuildAndSeal(const std::vector<Query>& queries,
   stats->resize(k);
   std::vector<Status> statuses(k);
   std::vector<double> seal_times(k, 0);
+  // twin[j]: the target whose build j takes (j itself when j is built).
+  // Equal statements have equal stamps, so a stamp bucket holds every
+  // candidate twin; the field compare keeps a collision from sharing.
+  std::vector<size_t> twin(k);
+  std::vector<size_t> builds;
+  std::map<uint64_t, std::vector<size_t>> by_stamp;
+  for (size_t j = 0; j < k; ++j) {
+    twin[j] = j;
+    if (options_.share_across_queries) {
+      std::vector<size_t>& bucket = by_stamp[stamps[j]];
+      for (const size_t b : bucket) {
+        if (queries[targets[b]].SameStatement(queries[targets[j]])) {
+          twin[j] = b;
+          break;
+        }
+      }
+      if (twin[j] == j) bucket.push_back(j);
+    }
+    if (twin[j] == j) builds.push_back(j);
+  }
   // Seal against the *current* universe: ids appended since an earlier
   // build become priceable in every cache sealed here.
   const IndexId num_index_ids = candidates_->NumIndexIds();
-  pool_.ParallelFor(static_cast<int64_t>(k), [&](int64_t j) {
-    const size_t at = static_cast<size_t>(j);
+  pool_.ParallelFor(static_cast<int64_t>(builds.size()), [&](int64_t b) {
+    const size_t at = builds[static_cast<size_t>(b)];
     const Query& q = queries[targets[at]];
     StatusOr<InumCache> cache = BuildQueryCache(q, &(*stats)[at]);
     if (!cache.ok()) {
@@ -68,6 +89,13 @@ Status WorkloadCacheBuilder::BuildAndSeal(const std::vector<Query>& queries,
     (*sealed)[at] = SealedCache::Seal(*cache, num_index_ids);
     seal_times[at] = seal_timer.ElapsedMillis();
   });
+  // A repeat shares its twin's arena and seal id: a refcount bump, no
+  // optimizer call.
+  for (size_t j = 0; j < k; ++j) {
+    if (twin[j] == j) continue;
+    (*sealed)[j] = (*sealed)[twin[j]];
+    (*stats)[j].shared_builds = 1;
+  }
   *seal_ms = 0;
   for (const double ms : seal_times) *seal_ms += ms;
   for (const Status& st : statuses) {
@@ -84,6 +112,7 @@ WorkloadCacheStats WorkloadCacheBuilder::SumCounts(
     totals.plan_cache_calls += qs.plan_cache_calls;
     totals.access_cost_calls += qs.access_cost_calls;
     totals.access_calls_saved += qs.access_calls_saved;
+    totals.shared_builds += qs.shared_builds;
   }
   for (const SealedCache& cache : sealed) {
     totals.plans_cached += cache.NumPlans() + cache.NumPlansPruned();
@@ -139,8 +168,9 @@ StatusOr<WorkloadCacheResult> WorkloadCacheBuilder::BuildAll(
   for (size_t i = 0; i < n; ++i) all[i] = i;
   Stopwatch wall;
   double seal_ms = 0;
-  PINUM_RETURN_IF_ERROR(
-      BuildAndSeal(queries, all, &result.sealed, &result.per_query, &seal_ms));
+  PINUM_RETURN_IF_ERROR(BuildAndSeal(queries, all, result.stamps,
+                                     &result.sealed, &result.per_query,
+                                     &seal_ms));
   result.totals = SumCounts(result.per_query, result.sealed);
   result.totals.wall_ms = wall.ElapsedMillis();
   result.totals.seal_ms = seal_ms;
@@ -184,6 +214,16 @@ StatusOr<WorkloadCacheResult> WorkloadCacheBuilder::RebuildQueries(
   // a stale query re-pays its own optimizer calls, not its neighbours').
   store_.InvalidateTables(RefreshTableFingerprints(queries));
 
+  // Stamp the targets against the drifted world these rebuilds consume;
+  // untouched queries keep the stamps of the world they were built
+  // under.
+  std::map<TableId, uint64_t> fp_cache;
+  std::vector<uint64_t> fresh_stamps;
+  fresh_stamps.reserve(targets.size());
+  for (const size_t i : targets) {
+    fresh_stamps.push_back(QueryStamp(queries[i], &fp_cache));
+  }
+
   // Rebuilt queries reseal against the *current* universe, while
   // untouched queries keep their narrower sealed form — which prices
   // the new ids at base cost, bit-identical to what a cold rebuild
@@ -192,8 +232,8 @@ StatusOr<WorkloadCacheResult> WorkloadCacheBuilder::RebuildQueries(
   std::vector<QueryBuildStats> fresh_stats;
   Stopwatch wall;
   double seal_ms = 0;
-  PINUM_RETURN_IF_ERROR(
-      BuildAndSeal(queries, targets, &fresh_sealed, &fresh_stats, &seal_ms));
+  PINUM_RETURN_IF_ERROR(BuildAndSeal(queries, targets, fresh_stamps,
+                                     &fresh_sealed, &fresh_stats, &seal_ms));
   const double wall_ms = wall.ElapsedMillis();
   if (rebuild_totals != nullptr) {
     *rebuild_totals = SumCounts(fresh_stats, fresh_sealed);
@@ -202,15 +242,11 @@ StatusOr<WorkloadCacheResult> WorkloadCacheBuilder::RebuildQueries(
   }
 
   WorkloadCacheResult next = base;
-  std::map<TableId, uint64_t> fp_cache;
   for (size_t j = 0; j < targets.size(); ++j) {
     const size_t i = targets[j];
     next.sealed[i] = std::move(fresh_sealed[j]);
     next.per_query[i] = fresh_stats[j];
-    // Re-stamp against the drifted world these rebuilds consumed;
-    // untouched queries keep the stamps of the world they were built
-    // under.
-    next.stamps[i] = QueryStamp(queries[i], &fp_cache);
+    next.stamps[i] = fresh_stamps[j];
   }
   next.totals = SumCounts(next.per_query, next.sealed);
   next.totals.wall_ms = wall_ms;

@@ -1,9 +1,10 @@
 // Workload-scale cache construction: builds one PINUM cache per
-// workload query concurrently, sharing access-cost optimizer calls
-// across queries with the same table footprints. This scales the
-// paper's per-query procedure ("caching all plans with just one
-// optimizer call") to whole workloads — the input the index advisor
-// actually consumes.
+// distinct workload statement concurrently, hands repeated statements
+// the same sealed cache, and shares access-cost optimizer calls across
+// queries with the same table footprints. This scales the paper's
+// per-query procedure ("caching all plans with just one optimizer
+// call") to whole workloads — the input the index advisor actually
+// consumes.
 #ifndef PINUM_WORKLOAD_CACHE_MANAGER_H_
 #define PINUM_WORKLOAD_CACHE_MANAGER_H_
 
@@ -30,10 +31,13 @@ struct WorkloadCacheOptions {
   /// 0 = one thread per hardware core; 1 = strictly serial (the
   /// determinism baseline).
   int num_threads = 0;
-  /// Deduplicate access-cost optimizer calls across queries through a
-  /// SharedAccessCostStore. Cache *values* are identical either way; only
-  /// the number of optimizer calls changes.
-  bool share_access_costs = true;
+  /// Share work across queries: build each distinct statement (every
+  /// Query field but the name) once and give its repeats the same sealed
+  /// cache, and deduplicate access-cost optimizer calls across queries
+  /// through a SharedAccessCostStore. Cache *values* are identical either
+  /// way; only the number of optimizer calls and builds changes. Off is
+  /// the per-query baseline: every query pays its own build.
+  bool share_across_queries = true;
   /// Per-query knobs. The shared_access field is managed by the builder
   /// and ignored if set.
   PinumBuildOptions pinum;
@@ -46,6 +50,9 @@ struct QueryBuildStats {
   int64_t plan_cache_calls = 0;
   int64_t access_cost_calls = 0;
   int64_t access_calls_saved = 0;
+  /// 1 when the query repeats a statement built earlier in the same batch
+  /// and took that build's sealed cache, with zero optimizer calls.
+  int64_t shared_builds = 0;
 };
 
 /// Whole-workload accounting.
@@ -54,9 +61,12 @@ struct WorkloadCacheStats {
   int64_t access_cost_calls = 0;
   /// Access-cost optimizer calls avoided via cross-query sharing. Under
   /// concurrency two queries can race to compute the same entry, so the
-  /// split between calls and saved calls is scheduling-dependent; the
-  /// cache contents never are.
+  /// split between calls and saved calls can depend on scheduling (see
+  /// SharedAccessCostStore); the cache contents never do.
   int64_t access_calls_saved = 0;
+  /// Queries that repeated an earlier statement of their batch and
+  /// shared its build instead of paying their own.
+  int64_t shared_builds = 0;
   /// Plans the builds harvested, summed from the sealed caches
   /// (NumPlans + NumPlansPruned), so restored results report it too.
   size_t plans_cached = 0;
@@ -72,19 +82,21 @@ struct WorkloadCacheStats {
   /// sparsity the advisor's CostWithExtra sweep exploits.
   size_t postings = 0;
   double wall_ms = 0;
-  /// Per-query seal times, summed. Each query is sealed inside its own
-  /// pooled build task, so with several threads the sum can exceed
+  /// Per-build seal times, summed. Each statement is sealed inside its
+  /// own pooled build task, so with several threads the sum can exceed
   /// wall_ms.
   double seal_ms = 0;
 };
 
 /// The built caches in their serving form, parallel to the input query
-/// vector: sealed[i] answers every cost question for queries[i]. The
-/// build-time InumCache each was sealed from does not outlive its build
-/// task (BuildQueryCache rebuilds one on request). Copying a result
-/// shares every cache's arena, so a copy costs refcount bumps, not cache
-/// bytes, and a cache whose arena borrows a snapshot file mapping
-/// (LoadSnapshotMapped) keeps those pages mapped through every copy.
+/// vector: sealed[i] answers every cost question for queries[i]. Queries
+/// that repeat a statement hold copies of one SealedCache (one arena,
+/// one seal id). The build-time InumCache each was sealed from does not
+/// outlive its build task (BuildQueryCache rebuilds one on request).
+/// Copying a result shares every cache's arena, so a copy costs refcount
+/// bumps, not cache bytes, and a cache whose arena borrows a snapshot
+/// file mapping (LoadSnapshotMapped) keeps those pages mapped through
+/// every copy.
 struct WorkloadCacheResult {
   std::vector<SealedCache> sealed;
   std::vector<QueryBuildStats> per_query;
@@ -111,15 +123,19 @@ class WorkloadCacheBuilder {
   /// Builds every query's cache (concurrently when num_threads != 1) and
   /// seals it for serving inside the same pool task. result.sealed[i]
   /// corresponds to queries[i]; the first per-query build error aborts
-  /// the batch. Also records the per-table epoch fingerprints the build
-  /// ran under, which a later RebuildQueries diffs to invalidate exactly
-  /// the drifted tables' shared access-cost entries.
+  /// the batch. With share_across_queries, each distinct statement is
+  /// built once and its repeats get copies of its sealed cache, with
+  /// zero optimizer calls and shared_builds = 1 in their per_query rows
+  /// (the paper workload replicated 3x pays 65 plan calls, not 195).
+  /// Also records the per-table epoch fingerprints the build ran under,
+  /// which a later RebuildQueries diffs to invalidate exactly the
+  /// drifted tables' shared access-cost entries.
   StatusOr<WorkloadCacheResult> BuildAll(const std::vector<Query>& queries);
 
-  /// The build-time form of one query's cache, on request: the per-query
-  /// body BuildAll and RebuildQueries run before sealing (same planner
-  /// knobs and shared access-cost store), for callers that need the
-  /// harvested plans themselves: the golden corpus's per-plan lines,
+  /// The build-time form of one query's cache, on request: the
+  /// per-statement body BuildAll and RebuildQueries run before sealing
+  /// (same planner knobs and shared access-cost store), for callers that
+  /// need the harvested plans themselves: the golden corpus's per-plan lines,
   /// including plans the seal prunes, and test oracles. It reads the
   /// shared store as the last BuildAll/RebuildQueries left it, so call
   /// it under the world that build consumed. Fires the
@@ -138,7 +154,10 @@ class WorkloadCacheBuilder {
   /// not cache bytes. `queries` and `base` must be BuildAll's inputs
   /// and output (parallel vectors); every name must resolve to a query.
   /// Costs k stale queries' worth of optimizer calls instead of a
-  /// whole-workload rebuild:
+  /// whole-workload rebuild, and fewer when stale queries repeat a
+  /// statement: like BuildAll, it builds each distinct statement among
+  /// the named queries once (the caches of queries not named are never
+  /// reused for them):
   ///
   ///  - shared access-cost entries are invalidated per table, not
   ///    wholesale: tables whose epoch fingerprint (schema slice, stats,
@@ -246,12 +265,18 @@ class WorkloadCacheBuilder {
 
  private:
   /// Builds and seals queries[targets[j]] into (*sealed)[j] and
-  /// (*stats)[j], one pool task per query: the shared body of BuildAll
-  /// and RebuildQueries. Returns the first failure (annotated with the
-  /// query name) once every task has finished; `seal_ms` receives the
-  /// summed per-query seal time.
+  /// (*stats)[j]: the shared body of BuildAll and RebuildQueries.
+  /// `stamps[j]` is QueryStamp(queries[targets[j]]). With
+  /// share_across_queries, targets are grouped by statement (bucketed by
+  /// stamp, confirmed by Query::SameStatement, so a stamp collision never
+  /// shares a cache) and each group's first target is built in one pool
+  /// task; the others copy its sealed cache after the pool finishes.
+  /// Otherwise every target is its own task. Returns the first failure
+  /// (annotated with the query name) once every task has finished;
+  /// `seal_ms` receives the summed per-build seal time.
   Status BuildAndSeal(const std::vector<Query>& queries,
                       const std::vector<size_t>& targets,
+                      const std::vector<uint64_t>& stamps,
                       std::vector<SealedCache>* sealed,
                       std::vector<QueryBuildStats>* stats, double* seal_ms);
 

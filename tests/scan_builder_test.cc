@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "optimizer/scan_builder.h"
+#include "parser/parser.h"
 #include "test_util.h"
 #include "whatif/whatif_index.h"
 
@@ -139,6 +145,82 @@ TEST_F(ScanBuilderTest, NonJoinLeadingColumnHasNoProbe) {
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->options.size(), 2u);
   EXPECT_TRUE(info->probes.empty());
+}
+
+/// Every field of two collected access infos, doubles compared bit for
+/// bit.
+void ExpectSameAccessInfo(const TableAccessInfo& a, const TableAccessInfo& b,
+                          const std::string& where) {
+  SCOPED_TRACE(where);
+  EXPECT_EQ(a.table, b.table);
+  EXPECT_EQ(a.raw_rows, b.raw_rows);
+  EXPECT_EQ(a.filter_sel, b.filter_sel);
+  EXPECT_EQ(a.filtered_rows, b.filtered_rows);
+  EXPECT_EQ(a.heap_pages, b.heap_pages);
+  EXPECT_EQ(a.needed_width, b.needed_width);
+  EXPECT_EQ(a.num_filters, b.num_filters);
+  ASSERT_EQ(a.options.size(), b.options.size());
+  for (size_t i = 0; i < a.options.size(); ++i) {
+    const ScanOption& x = a.options[i];
+    const ScanOption& y = b.options[i];
+    EXPECT_EQ(x.index, y.index) << "option " << i;
+    EXPECT_EQ(x.index_only, y.index_only) << "option " << i;
+    EXPECT_EQ(x.cost.startup, y.cost.startup) << "option " << i;
+    EXPECT_EQ(x.cost.total, y.cost.total) << "option " << i;
+    EXPECT_EQ(x.rows, y.rows) << "option " << i;
+    EXPECT_EQ(x.sel_index, y.sel_index) << "option " << i;
+    EXPECT_EQ(x.order.columns, y.order.columns) << "option " << i;
+  }
+  ASSERT_EQ(a.probes.size(), b.probes.size());
+  for (size_t i = 0; i < a.probes.size(); ++i) {
+    const ProbeOption& x = a.probes[i];
+    const ProbeOption& y = b.probes[i];
+    EXPECT_EQ(x.index, y.index) << "probe " << i;
+    EXPECT_EQ(x.column, y.column) << "probe " << i;
+    EXPECT_EQ(x.index_only, y.index_only) << "probe " << i;
+    EXPECT_EQ(x.cost_per_probe.total, y.cost_per_probe.total) << "probe " << i;
+    EXPECT_EQ(x.rows_per_probe, y.rows_per_probe) << "probe " << i;
+  }
+}
+
+TEST_F(ScanBuilderTest, PermutedFiltersCollectIdenticalAccessInfo) {
+  // The shared access-cost store keys a table by its sorted filters, so
+  // two statements listing the same filters in different orders must
+  // collect the same bits: three selectivities multiplied in statement
+  // order can round differently (1.9979999999999998e-06 against
+  // 1.9980000000000002e-06 on the star family), so the collector
+  // multiplies them in one canonical order.
+  const TableDef* fact = mini_.db.catalog().FindTable(mini_.fact);
+  std::vector<IndexDef> hypo = {
+      MakeWhatIfIndex("fact_c1", *fact, {3}, 1'000'000)};  // c1 is col 3
+  auto catalog = CatalogWithIndexes(mini_.db.catalog(), hypo, nullptr);
+  ASSERT_TRUE(catalog.ok());
+  for (const Value low : {123'457, 271'829, 314'160}) {
+    for (const Value high : {654'321, 777'777, 999'331}) {
+      for (const Value cap : {1'999, 33'333, 47'123}) {
+        std::vector<std::string> preds = {
+            "fact.c1 >= " + std::to_string(low),
+            "fact.c1 <= " + std::to_string(high),
+            "fact.c2 <= " + std::to_string(cap)};
+        std::sort(preds.begin(), preds.end());
+        std::optional<TableAccessInfo> first;
+        do {
+          const std::string sql = "SELECT fact.c2 FROM fact WHERE " +
+                                  preds[0] + " AND " + preds[1] + " AND " +
+                                  preds[2];
+          auto q = ParseSql(sql, *catalog);
+          ASSERT_TRUE(q.ok()) << sql << ": " << q.status().ToString();
+          auto info = Build(*q, 0, *catalog);
+          ASSERT_TRUE(info.ok()) << sql;
+          if (first.has_value()) {
+            ExpectSameAccessInfo(*first, *info, sql);
+          } else {
+            first = std::move(*info);
+          }
+        } while (std::next_permutation(preds.begin(), preds.end()));
+      }
+    }
+  }
 }
 
 }  // namespace

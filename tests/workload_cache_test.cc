@@ -1,8 +1,15 @@
 // Workload-scale cache construction: WorkloadCacheBuilder correctness
 // (its PINUM caches against classic INUM's per-query baseline, single-
-// vs multi-threaded determinism), cross-query access-cost-call
-// deduplication accounting, and the batched advisor costing path.
+// vs multi-threaded determinism), cross-query sharing (one build per
+// statement, access-cost-call deduplication) and its accounting, and
+// the batched advisor costing path.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "advisor/candidate_generator.h"
 #include "advisor/greedy_advisor.h"
@@ -12,6 +19,7 @@
 #include "test_util.h"
 #include "whatif/candidate_set.h"
 #include "workload/cache_manager.h"
+#include "workload/drift.h"
 
 namespace pinum {
 namespace {
@@ -129,11 +137,11 @@ TEST_F(WorkloadCacheTest, ConcurrentBuildsAreDeterministic) {
 TEST_F(WorkloadCacheTest, SharingDoesNotChangeCosts) {
   WorkloadCacheOptions shared;
   shared.num_threads = 1;
-  shared.share_access_costs = true;
+  shared.share_across_queries = true;
   const WorkloadCacheResult a = Build(shared);
 
   WorkloadCacheOptions unshared = shared;
-  unshared.share_access_costs = false;
+  unshared.share_across_queries = false;
   const WorkloadCacheResult b = Build(unshared);
 
   Rng rng(17);
@@ -166,8 +174,11 @@ TEST_F(WorkloadCacheTest, SharingPreservesBaseIndexCosts) {
   auto set = MakeCandidateSet(mini.db.catalog(), cand_defs);
   ASSERT_TRUE(set.ok());
 
+  // The clone reorders the SELECT list: the same table footprints, so
+  // the store serves it, but a different statement, so it is built.
   std::vector<Query> repeated = {mini.JoinQuery(), mini.JoinQuery()};
   repeated[1].name = "mini_q_clone";
+  std::reverse(repeated[1].select.begin(), repeated[1].select.end());
 
   WorkloadCacheOptions opts;
   opts.num_threads = 1;
@@ -178,7 +189,7 @@ TEST_F(WorkloadCacheTest, SharingPreservesBaseIndexCosts) {
   // The clone's access-cost call must have been deduplicated.
   EXPECT_EQ(shared->per_query[1].access_calls_saved, 1);
 
-  opts.share_access_costs = false;
+  opts.share_across_queries = false;
   WorkloadCacheBuilder unshared_b(&mini.db.catalog(), &*set,
                                   &mini.db.stats(), opts);
   auto unshared = unshared_b.BuildAll(repeated);
@@ -220,10 +231,12 @@ TEST_F(WorkloadCacheTest, SharingPreservesBaseIndexCosts) {
 }
 
 TEST_F(WorkloadCacheTest, SharedStoreDropsAccessCostCalls) {
-  // Two queries with identical table footprints (renamed clones): the
-  // second query's access costs must be served entirely from the store.
+  // Two statements with identical table footprints (the clone reorders
+  // the SELECT list): the second query's access costs must be served
+  // entirely from the store.
   std::vector<Query> repeated = {mini_.JoinQuery(), mini_.JoinQuery()};
   repeated[1].name = "mini_q_clone";
+  std::reverse(repeated[1].select.begin(), repeated[1].select.end());
 
   // One keep-all call for the first query, zero for the second.
   WorkloadCacheOptions opts;
@@ -237,7 +250,7 @@ TEST_F(WorkloadCacheTest, SharedStoreDropsAccessCostCalls) {
   EXPECT_EQ(result->per_query[1].access_cost_calls, 0);
   EXPECT_EQ(result->per_query[1].access_calls_saved, 1);
 
-  opts.share_access_costs = false;
+  opts.share_across_queries = false;
   WorkloadCacheBuilder unshared(&mini_.db.catalog(), &set_,
                                 &mini_.db.stats(), opts);
   auto baseline = unshared.BuildAll(repeated);
@@ -314,6 +327,197 @@ TEST_F(WorkloadCacheTest, BatchCostMatchesSingleCost) {
     EXPECT_EQ(batched[i], serial_eval.Cost(configs[i])) << "config " << i;
   }
 }
+
+// Every workload family (src/workload/workload_family.h): sharing work
+// across queries (whole builds for repeated statements, access-cost
+// answers for equal table footprints) never changes what a cache
+// prices. The trace line prints (family, seed) so a failure reproduces
+// alone.
+class FamilySharingTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  /// `a[i]` and `b[i]` price every sampled configuration bit-identically.
+  static void ExpectSamePricing(const std::vector<Query>& queries,
+                                const CandidateSet& set,
+                                const WorkloadCacheResult& a,
+                                const WorkloadCacheResult& b, uint64_t seed) {
+    ASSERT_EQ(a.sealed.size(), queries.size());
+    ASSERT_EQ(b.sealed.size(), queries.size());
+    Rng rng(seed);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(a.sealed[i].ArenaBytes(), b.sealed[i].ArenaBytes())
+          << queries[i].name;
+      for (int trial = 0; trial < 16; ++trial) {
+        const IndexConfig config =
+            trial % 2 == 0 ? RandomAtomicConfig(queries[i], set, &rng)
+                           : RandomSubsetConfig(set, &rng, 0.3);
+        EXPECT_EQ(a.sealed[i].Cost(config), b.sealed[i].Cost(config))
+            << queries[i].name << " trial " << trial;
+      }
+    }
+  }
+};
+
+TEST_P(FamilySharingTest, RepeatsShareOneBuildPerStatement) {
+  auto fix = MakeFamilyFixture(GetParam());
+  ASSERT_NE(fix, nullptr);
+  SCOPED_TRACE(fix->trace());
+  // Three renamed replicas, the way production workloads repeat their
+  // templates. first[i] is the first query with the same SQL text
+  // (families may repeat statements before replication too).
+  std::vector<Query> queries;
+  for (int r = 0; r < 3; ++r) {
+    for (const Query& q : fix->queries()) {
+      queries.push_back(q);
+      queries.back().name += "_r" + std::to_string(r);
+    }
+  }
+  std::vector<size_t> first;
+  std::map<std::string, size_t> first_by_sql;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    first.push_back(
+        first_by_sql.emplace(queries[i].ToSql(fix->catalog()), i)
+            .first->second);
+  }
+
+  CandidateSet set = fix->set;
+  StatsCatalog stats = fix->stats();
+  WorkloadCacheOptions opts;
+  opts.num_threads = 4;
+  WorkloadCacheBuilder builder(&fix->catalog(), &set, &stats, opts);
+  auto shared = builder.BuildAll(queries);
+  ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+  opts.share_across_queries = false;
+  WorkloadCacheBuilder baseline(&fix->catalog(), &set, &stats, opts);
+  auto unshared = baseline.BuildAll(queries);
+  ASSERT_TRUE(unshared.ok()) << unshared.status().ToString();
+
+  // One build per statement; a repeat holds its twin's seal (one arena)
+  // and records no optimizer call.
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const QueryBuildStats& row = shared->per_query[i];
+    if (first[i] == i) {
+      EXPECT_EQ(row.shared_builds, 0) << queries[i].name;
+      EXPECT_EQ(row.plan_cache_calls,
+                unshared->per_query[i].plan_cache_calls)
+          << queries[i].name;
+    } else {
+      EXPECT_EQ(row.shared_builds, 1) << queries[i].name;
+      EXPECT_EQ(row.plan_cache_calls, 0) << queries[i].name;
+      EXPECT_EQ(row.access_cost_calls, 0) << queries[i].name;
+      EXPECT_EQ(row.access_calls_saved, 0) << queries[i].name;
+      EXPECT_EQ(shared->sealed[i].seal_id(),
+                shared->sealed[first[i]].seal_id())
+          << queries[i].name;
+    }
+  }
+  const int64_t statements = static_cast<int64_t>(first_by_sql.size());
+  EXPECT_EQ(shared->totals.shared_builds,
+            static_cast<int64_t>(queries.size()) - statements);
+  EXPECT_EQ(unshared->totals.shared_builds, 0);
+  // Every query, repeat or not, prices like its own unshared build.
+  ExpectSamePricing(queries, set, *shared, *unshared, 97);
+
+  // A drift stales every replica of the statements it touches; the
+  // rebuild builds each stale statement once and serves like a cold
+  // unshared build of the drifted world.
+  auto drift = ApplyDrift(queries, &set, &stats, queries.size() / 2, 101);
+  ASSERT_TRUE(drift.ok()) << drift.status().ToString();
+  ASSERT_FALSE(drift->stale_queries.empty());
+  std::set<std::string> stale_sql;
+  int64_t stale_repeats = 0;
+  for (const std::string& name : drift->stale_queries) {
+    for (const Query& q : queries) {
+      if (q.name == name && !stale_sql.insert(q.ToSql(fix->catalog())).second) {
+        ++stale_repeats;
+      }
+    }
+  }
+  ASSERT_GT(stale_repeats, 0);
+  WorkloadCacheStats rebuild;
+  auto resealed =
+      builder.RebuildQueries(drift->stale_queries, queries, *shared, &rebuild);
+  ASSERT_TRUE(resealed.ok()) << resealed.status().ToString();
+  EXPECT_EQ(rebuild.shared_builds, stale_repeats);
+  int64_t builds = 0;
+  for (const std::string& name : drift->stale_queries) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      if (queries[i].name != name) continue;
+      const QueryBuildStats& row = resealed->per_query[i];
+      if (row.shared_builds == 0) {
+        ++builds;
+        EXPECT_GT(row.plan_cache_calls, 0) << name;
+      } else {
+        EXPECT_EQ(row.plan_cache_calls, 0) << name;
+        EXPECT_EQ(resealed->sealed[i].seal_id(),
+                  resealed->sealed[first[i]].seal_id())
+            << name;
+      }
+    }
+  }
+  EXPECT_EQ(builds, static_cast<int64_t>(stale_sql.size()));
+  WorkloadCacheBuilder cold(&fix->catalog(), &set, &stats, opts);
+  auto rebuilt = cold.BuildAll(queries);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  ExpectSamePricing(queries, set, *resealed, *rebuilt, 103);
+}
+
+TEST_P(FamilySharingTest, OrderedStatementsPriceLikeTheirOwnBuilds) {
+  // Each statement with GROUP BY or ORDER BY is built right after its
+  // plain twin: the same statement without them, the dropped columns
+  // kept in the select list so every table's needed columns match. The
+  // twin's access-cost answers carry orders truncated to the twin's
+  // interesting orders, so the shared store must not serve them to the
+  // ordered statement. Two seeds: a pair misprices on some seeds only.
+  for (const uint64_t seed : {42, 1}) {
+    WorkloadFamilyOptions family;
+    family.seed = seed;
+    auto fix = MakeFamilyFixture(GetParam(), family);
+    ASSERT_NE(fix, nullptr);
+    SCOPED_TRACE(fix->trace());
+    std::vector<Query> queries;
+    for (const Query& q : fix->queries()) {
+      if (q.group_by.empty() && q.order_by.empty()) continue;
+      Query plain = q;
+      plain.name += "_plain";
+      auto keep = [&plain](ColumnRef c) {
+        if (std::find(plain.select.begin(), plain.select.end(), c) ==
+            plain.select.end()) {
+          plain.select.push_back(c);
+        }
+      };
+      for (const ColumnRef& g : q.group_by) keep(g);
+      for (const SortKey& k : q.order_by) keep(k.column);
+      plain.group_by.clear();
+      plain.order_by.clear();
+      plain.aggregate = AggKind::kNone;
+      queries.push_back(plain);
+      queries.push_back(q);
+    }
+    ASSERT_FALSE(queries.empty());
+
+    // Serial, so each twin stores its answers before its ordered
+    // statement looks them up.
+    WorkloadCacheOptions opts;
+    opts.num_threads = 1;
+    WorkloadCacheBuilder builder(&fix->catalog(), &fix->set, &fix->stats(),
+                                 opts);
+    auto shared = builder.BuildAll(queries);
+    ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+    opts.share_across_queries = false;
+    WorkloadCacheBuilder baseline(&fix->catalog(), &fix->set, &fix->stats(),
+                                  opts);
+    auto unshared = baseline.BuildAll(queries);
+    ASSERT_TRUE(unshared.ok()) << unshared.status().ToString();
+    ExpectSamePricing(queries, fix->set, *shared, *unshared, 107);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloadFamilies, FamilySharingTest,
+    ::testing::ValuesIn(WorkloadFamilyNames()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 }  // namespace
 }  // namespace pinum
