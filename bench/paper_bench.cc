@@ -259,9 +259,10 @@ void PrintQueryFigures(const std::string& cell,
 
 /// The workload figure: PINUM's serial vs parallel builds and cross-query
 /// sharing (one build per distinct statement, shared access-cost calls)
-/// over the cell's queries replicated `replicas` times, next to classic
-/// INUM's serial per-query baseline; then the cell's shape from one
-/// default build of the unreplicated queries and a greedy advisor run.
+/// over the cell's queries replicated `replicas` times, next to the
+/// serial per-query baselines of PINUM (BuildQueryCache plus Seal) and
+/// classic INUM; then the cell's shape from one default build of the
+/// unreplicated queries and a greedy advisor run.
 Status RunWorkloadFigure(const std::string& cell, const WorkloadInstance& w,
                          const std::vector<Query>& queries, int replicas,
                          double gen_ms, bench::JsonSummary* json) {
@@ -288,21 +289,35 @@ Status RunWorkloadFigure(const std::string& cell, const WorkloadInstance& w,
     json->Set(key + run_key + "_access_calls", access_calls);
     json->Set(key + run_key + "_shared_builds", shared_builds);
   };
+  std::printf("== PINUM ==\n");
+  // The per-query baseline: every query pays its own build and seal,
+  // nothing shared across queries.
+  WorkloadCacheOptions serial_opts;
+  serial_opts.num_threads = 1;
+  WorkloadCacheBuilder serial_builder(&w.catalog(), &w.set, &w.stats(),
+                                      serial_opts);
+  QueryBuildStats serial;
+  Stopwatch serial_sw;
+  for (const Query& q : replicated) {
+    QueryBuildStats stats;
+    PINUM_ASSIGN_OR_RETURN(InumCache cache,
+                           serial_builder.BuildQueryCache(q, &stats));
+    SealedCache::Seal(cache, w.set.NumIndexIds());
+    serial.plan_cache_calls += stats.plan_cache_calls;
+    serial.access_cost_calls += stats.access_cost_calls;
+  }
+  row("serial, no sharing", "pinum_serial", serial_sw.ElapsedMillis(),
+      serial.plan_cache_calls, serial.access_cost_calls, 0, 0);
   struct Run {
     const char* key;
     const char* label;
     int threads;
-    bool share;
   };
-  constexpr Run kRuns[] = {
-      {"serial", "serial, no sharing", 1, false},
-      {"serial_shared", "serial, shared builds", 1, true},
-      {"parallel_shared", "parallel, shared builds", 0, true}};
-  std::printf("== PINUM ==\n");
+  constexpr Run kRuns[] = {{"serial_shared", "serial, shared builds", 1},
+                           {"parallel_shared", "parallel, shared builds", 0}};
   for (const Run& run : kRuns) {
     WorkloadCacheOptions opts;
     opts.num_threads = run.threads;
-    opts.share_across_queries = run.share;
     WorkloadCacheBuilder builder(&w.catalog(), &w.set, &w.stats(), opts);
     PINUM_ASSIGN_OR_RETURN(WorkloadCacheResult built,
                            builder.BuildAll(replicated));

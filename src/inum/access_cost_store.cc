@@ -4,32 +4,21 @@
 #include <sstream>
 #include <vector>
 
+#include "optimizer/interesting_orders.h"
+
 namespace pinum {
 
 std::string TableContextSignature(const Query& query, TableId table) {
   std::vector<ColumnIdx> needed = query.NeededColumns(table);
   std::sort(needed.begin(), needed.end());
 
-  auto sorted_unique = [](std::vector<ColumnIdx>* cols) {
-    std::sort(cols->begin(), cols->end());
-    cols->erase(std::unique(cols->begin(), cols->end()), cols->end());
-  };
   std::vector<ColumnIdx> join_cols;
   for (const JoinPredicate& j : query.joins) {
     if (j.Touches(table)) join_cols.push_back(j.SideOn(table).column);
   }
-  sorted_unique(&join_cols);
-  // The rest of the table's interesting orders: the collector truncates
-  // every delivered order to them, so they shape the answer as much as
-  // the join columns do.
-  std::vector<ColumnIdx> order_cols;
-  for (const ColumnRef& g : query.group_by) {
-    if (g.table == table) order_cols.push_back(g.column);
-  }
-  for (const SortKey& o : query.order_by) {
-    if (o.column.table == table) order_cols.push_back(o.column.column);
-  }
-  sorted_unique(&order_cols);
+  std::sort(join_cols.begin(), join_cols.end());
+  join_cols.erase(std::unique(join_cols.begin(), join_cols.end()),
+                  join_cols.end());
 
   std::ostringstream sig;
   sig << "t" << table << "|n";
@@ -41,8 +30,17 @@ std::string TableContextSignature(const Query& query, TableId table) {
   }
   sig << "|j";
   for (ColumnIdx c : join_cols) sig << c << ",";
+  // The table's interesting orders, sorted and unique: the collector
+  // truncates every delivered order to them, so they shape the answer
+  // as much as the join columns do.
   sig << "|o";
-  for (ColumnIdx c : order_cols) sig << c << ",";
+  const int pos = query.PosOfTable(table);
+  if (pos >= 0) {
+    const auto orders = PerTableInterestingOrders(query);
+    for (const ColumnRef& c : orders[static_cast<size_t>(pos)]) {
+      sig << c.column << ",";
+    }
+  }
   return sig.str();
 }
 
@@ -59,22 +57,6 @@ void SharedAccessCostStore::StoreTable(const std::string& signature,
                                        const TableAccessInfo& info) {
   std::lock_guard<std::mutex> lock(mu_);
   by_table_.emplace(signature, info);
-}
-
-size_t SharedAccessCostStore::InvalidateTables(
-    const std::vector<TableId>& tables) {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t erased = 0;
-  for (auto it = by_table_.begin(); it != by_table_.end();) {
-    if (std::find(tables.begin(), tables.end(), it->second.table) !=
-        tables.end()) {
-      it = by_table_.erase(it);
-      ++erased;
-    } else {
-      ++it;
-    }
-  }
-  return erased;
 }
 
 }  // namespace pinum

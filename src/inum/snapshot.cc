@@ -783,6 +783,11 @@ SnapshotEpoch ComputeSnapshotEpoch(const CandidateSet& set) {
   return epoch;
 }
 
+namespace {
+
+/// The per-table slice ComputeQueryStamp folds per touched table: the
+/// table definition, its statistics, foreign keys touching it, and
+/// every universe index on it.
 uint64_t ComputeTableEpochFingerprint(TableId table, const CandidateSet& set,
                                       const StatsCatalog& stats) {
   Fingerprint fp;
@@ -815,6 +820,8 @@ uint64_t ComputeTableEpochFingerprint(TableId table, const CandidateSet& set,
   }
   return fp.hash();
 }
+
+}  // namespace
 
 uint64_t ComputeQueryStamp(const Query& query, const CandidateSet& set,
                            const StatsCatalog& stats,

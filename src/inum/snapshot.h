@@ -114,20 +114,13 @@ std::vector<uint64_t> ComputeUniversePrefixChain(const CandidateSet& set);
 /// included). Two worlds assign a query equal stamps iff its cold-built
 /// cache would be identical in both; a drifted stamp is exactly the
 /// "this query is stale, reseal it" signal incremental reseal consumes.
-/// `table_fp_cache`, when given, memoizes ComputeTableEpochFingerprint
-/// results across calls — whole-workload stampings would otherwise
-/// re-hash a shared table (histograms included) once per query.
+/// `table_fp_cache`, when given, memoizes the per-table fingerprints
+/// across calls — whole-workload stampings would otherwise re-hash a
+/// shared table (histograms included) once per query.
 uint64_t ComputeQueryStamp(const Query& query, const CandidateSet& set,
                            const StatsCatalog& stats,
                            std::map<TableId, uint64_t>* table_fp_cache =
                                nullptr);
-
-/// The per-table slice ComputeQueryStamp folds per touched table, also
-/// usable on its own to decide which SharedAccessCostStore tables to
-/// invalidate after drift: covers the table definition, its statistics,
-/// foreign keys touching it, and every universe index on it.
-uint64_t ComputeTableEpochFingerprint(TableId table, const CandidateSet& set,
-                                      const StatsCatalog& stats);
 
 /// A restored snapshot: per-query sealed caches, serving-ready (feed
 /// `sealed` straight to a WorkloadCostEvaluator), with the query names

@@ -26,13 +26,32 @@ auto InternalOnThrow(const char* what, Fn&& fn) -> decltype(fn()) {
   }
 }
 
+/// kFailedPrecondition naming the sizes of `result` and `queries` when
+/// they are not parallel; OK otherwise.
+Status CheckParallel(const WorkloadCacheResult& result,
+                     const std::vector<Query>& queries) {
+  const size_t n = queries.size();
+  if (result.sealed.size() == n && result.stamps.size() == n &&
+      result.per_query.size() == n) {
+    return Status::OK();
+  }
+  return Status::FailedPrecondition(
+      "serving: the result holds " + std::to_string(result.sealed.size()) +
+      " caches, " + std::to_string(result.stamps.size()) + " stamps and " +
+      std::to_string(result.per_query.size()) + " per-query rows for " +
+      std::to_string(n) + " queries; build it from these queries");
+}
+
 }  // namespace
 
 ServingEngine::ServingEngine(WorkloadCacheBuilder* builder,
                              const std::vector<Query>* queries,
                              WorkloadCacheResult initial,
                              ServingOptions options)
-    : builder_(builder), queries_(queries), options_(options) {
+    : builder_(builder),
+      queries_(queries),
+      options_(options),
+      parallel_status_(CheckParallel(initial, *queries)) {
   auto first = std::make_shared<ServingGeneration>();
   first->id = 1;
   first->result = std::move(initial);
@@ -55,6 +74,7 @@ std::shared_ptr<const ServingGeneration> ServingEngine::Pin() const {
 }
 
 CostAnswer ServingEngine::Cost(const IndexConfig& config) const {
+  if (!parallel_status_.ok()) return CostAnswer{0, 0, parallel_status_};
   const auto gen = Pin();
   WorkloadCostEvaluator evaluator(&gen->sealed(), options_.pool);
   return CostAnswer{evaluator.Cost(config), gen->id, Status::OK()};
@@ -62,6 +82,10 @@ CostAnswer ServingEngine::Cost(const IndexConfig& config) const {
 
 std::vector<CostAnswer> ServingEngine::BatchCost(
     const std::vector<IndexConfig>& configs) const {
+  if (!parallel_status_.ok()) {
+    return std::vector<CostAnswer>(configs.size(),
+                                   CostAnswer{0, 0, parallel_status_});
+  }
   const auto gen = Pin();
   WorkloadCostEvaluator evaluator(&gen->sealed(), options_.pool);
   const std::vector<double> costs = evaluator.BatchCost(configs);
@@ -76,6 +100,7 @@ std::vector<CostAnswer> ServingEngine::BatchCost(
 
 StatusOr<std::future<CostAnswer>> ServingEngine::SubmitCost(
     IndexConfig config, std::chrono::milliseconds deadline) {
+  if (!parallel_status_.ok()) return parallel_status_;
   if (deadline.count() == 0) deadline = options_.default_deadline;
   std::future<CostAnswer> future;
   {
@@ -417,7 +442,8 @@ HealthReport ServingEngine::Health() const {
   report.generation = CurrentGenerationId();
   std::lock_guard<std::mutex> lock(status_mu_);
   report.state = health_;
-  report.last_error = last_maintenance_status_;
+  report.last_error =
+      parallel_status_.ok() ? last_maintenance_status_ : parallel_status_;
   report.consecutive_failures = consecutive_failures_;
   return report;
 }

@@ -108,7 +108,9 @@ struct ServingOptions {
 /// suite pins this — so the id tells the caller exactly which world
 /// snapshot they were quoted. A non-OK `status` (kDeadlineExceeded for
 /// a request that expired in the queue, kInternal for a pricing sweep
-/// that faulted) means `cost` is meaningless and `generation` is 0.
+/// that faulted, kFailedPrecondition from an engine whose result is not
+/// parallel to its queries) means `cost` is meaningless and `generation`
+/// is 0.
 struct CostAnswer {
   double cost = 0;
   uint64_t generation = 0;
@@ -155,7 +157,8 @@ struct MaintenanceEvent {
 struct HealthReport {
   HealthState state = HealthState::kHealthy;
   /// Last reseal failure (OK if the most recent reseal succeeded or
-  /// none has run).
+  /// none has run). An engine whose result is not parallel to its
+  /// queries reports its kFailedPrecondition here for its whole life.
   Status last_error;
   int consecutive_failures = 0;
   /// Id of the generation currently serving.
@@ -198,10 +201,14 @@ struct ServingStats {
 /// mapping) forward until every borrowed cache has been rebuilt
 /// heap-side (see docs/SERVING.md).
 ///
-/// A result that is not parallel to the queries (say, a snapshot of a
-/// longer or shorter workload) reads as all stale: StaleNames lists
-/// every query, and every reseal fails with kInvalidArgument while the
-/// engine keeps serving that result.
+/// A result that is not parallel to the queries (its sealed, stamps or
+/// per_query size differs from the query count; say, a snapshot of a
+/// longer or shorter workload) cannot be priced: Cost, BatchCost and
+/// SubmitCost answer kFailedPrecondition naming both sizes, and
+/// Health().last_error shows the same status. It also reads as all
+/// stale: StaleNames lists every query, and every reseal fails with
+/// kInvalidArgument, so only a new engine over a parallel result
+/// serves.
 class ServingEngine {
  public:
   /// Batch coalescing: one pump drains at most this many queued
@@ -234,7 +241,8 @@ class ServingEngine {
   /// Workload cost of one configuration against the pinned current
   /// generation. Bit-identical to
   /// WorkloadCostEvaluator(&gen->sealed()).Cost(config) for the
-  /// generation the answer names.
+  /// generation the answer names. kFailedPrecondition when the result is
+  /// not parallel to the queries (see the class comment).
   CostAnswer Cost(const IndexConfig& config) const;
 
   /// Batched form: all configs price against ONE pinned generation (a
@@ -248,8 +256,10 @@ class ServingEngine {
   /// Enqueues one cost question and returns a future for its answer.
   /// Sheds with Status::Unavailable — a retryable, nothing-wrong-with-
   /// the-request rejection — when max_queue_depth requests are already
-  /// waiting. The future is fulfilled by the dispatcher thread (if
-  /// started), any PumpOnce caller, or at latest the destructor.
+  /// waiting, and rejects with kFailedPrecondition, queueing nothing,
+  /// when the result is not parallel to the queries. The future is
+  /// fulfilled by the dispatcher thread (if started), any PumpOnce
+  /// caller, or at latest the destructor.
   ///
   /// `deadline` bounds how long the request may wait in the queue
   /// (zero: fall back to options.default_deadline; both zero: wait
@@ -359,6 +369,10 @@ class ServingEngine {
   WorkloadCacheBuilder* builder_;
   const std::vector<Query>* queries_;
   ServingOptions options_;
+  /// OK when the initial result is parallel to the queries; otherwise
+  /// the kFailedPrecondition every pricing request gets. No reseal can
+  /// publish over such a result, so it holds for the engine's life.
+  const Status parallel_status_;
 
   /// The one swap point. Readers load, maintenance stores; never
   /// null after construction.

@@ -21,12 +21,18 @@ WorkloadCacheBuilder::WorkloadCacheBuilder(const Catalog* base_catalog,
 
 StatusOr<InumCache> WorkloadCacheBuilder::BuildQueryCache(
     const Query& query, QueryBuildStats* query_stats) {
-  // One hit per per-query (re)build — the unit a reseal retries. Fired
-  // from whichever pool thread claims the query; BuildAndSeal annotates
-  // the returned Status with the query name.
+  return BuildOne(query, nullptr, query_stats);
+}
+
+StatusOr<InumCache> WorkloadCacheBuilder::BuildOne(
+    const Query& query, SharedAccessCostStore* store,
+    QueryBuildStats* query_stats) {
+  // One hit per statement (re)build — the unit a reseal retries. Fired
+  // from whichever pool thread claims the statement; BuildAndSeal
+  // annotates the returned Status with the query name.
   PINUM_RETURN_IF_ERROR(FailPoint::Check("workload.build_query"));
   PinumBuildOptions opts = options_.pinum;
-  opts.shared_access = options_.share_across_queries ? &store_ : nullptr;
+  opts.shared_access = store;
   PinumBuildStats stats;
   StatusOr<InumCache> cache = BuildInumCachePinum(
       query, *base_catalog_, *candidates_, *stats_, opts, &stats);
@@ -56,25 +62,26 @@ Status WorkloadCacheBuilder::BuildAndSeal(const std::vector<Query>& queries,
   std::map<uint64_t, std::vector<size_t>> by_stamp;
   for (size_t j = 0; j < k; ++j) {
     twin[j] = j;
-    if (options_.share_across_queries) {
-      std::vector<size_t>& bucket = by_stamp[stamps[j]];
-      for (const size_t b : bucket) {
-        if (queries[targets[b]].SameStatement(queries[targets[j]])) {
-          twin[j] = b;
-          break;
-        }
+    std::vector<size_t>& bucket = by_stamp[stamps[j]];
+    for (const size_t b : bucket) {
+      if (queries[targets[b]].SameStatement(queries[targets[j]])) {
+        twin[j] = b;
+        break;
       }
-      if (twin[j] == j) bucket.push_back(j);
     }
-    if (twin[j] == j) builds.push_back(j);
+    if (twin[j] == j) {
+      bucket.push_back(j);
+      builds.push_back(j);
+    }
   }
   // Seal against the *current* universe: ids appended since an earlier
   // build become priceable in every cache sealed here.
   const IndexId num_index_ids = candidates_->NumIndexIds();
+  SharedAccessCostStore store;
   pool_.ParallelFor(static_cast<int64_t>(builds.size()), [&](int64_t b) {
     const size_t at = builds[static_cast<size_t>(b)];
     const Query& q = queries[targets[at]];
-    StatusOr<InumCache> cache = BuildQueryCache(q, &(*stats)[at]);
+    StatusOr<InumCache> cache = BuildOne(q, &store, &(*stats)[at]);
     if (!cache.ok()) {
       // Failed builds keep the query's name so batch errors stay
       // attributable (replicated workloads have many similar queries).
@@ -123,36 +130,10 @@ WorkloadCacheStats WorkloadCacheBuilder::SumCounts(
   return totals;
 }
 
-std::vector<TableId> WorkloadCacheBuilder::RefreshTableFingerprints(
-    const std::vector<Query>& queries) {
-  std::vector<TableId> drifted;
-  std::map<TableId, uint64_t> live;
-  for (const Query& q : queries) {
-    for (TableId t : q.tables) {
-      if (live.count(t) != 0) continue;
-      live[t] = ComputeTableEpochFingerprint(t, *candidates_, *stats_);
-    }
-  }
-  for (const auto& [table, fp] : live) {
-    const auto it = table_fingerprints_.find(table);
-    if (it != table_fingerprints_.end() && it->second != fp) {
-      drifted.push_back(table);
-    }
-    table_fingerprints_[table] = fp;
-  }
-  return drifted;
-}
-
 StatusOr<WorkloadCacheResult> WorkloadCacheBuilder::BuildAll(
     const std::vector<Query>& queries) {
   const size_t n = queries.size();
   WorkloadCacheResult result;
-
-  // Record (or refresh) the per-table epoch fingerprints this build runs
-  // under, invalidating any store entries a drift since the previous
-  // build made stale — a builder reused across drifts must never serve
-  // old-world access costs into a new-world build.
-  store_.InvalidateTables(RefreshTableFingerprints(queries));
 
   // Capture each query's epoch stamp now, against the world this build
   // consumes — snapshots persist these, so a drift after the build (but
@@ -207,12 +188,6 @@ StatusOr<WorkloadCacheResult> WorkloadCacheBuilder::RebuildQueries(
       targets.push_back(at);
     }
   }
-
-  // Exact store invalidation: only tables whose epoch fingerprint
-  // drifted since the last build lose their shared access-cost entries;
-  // everything else keeps serving this rebuild (that is the k-of-N win —
-  // a stale query re-pays its own optimizer calls, not its neighbours').
-  store_.InvalidateTables(RefreshTableFingerprints(queries));
 
   // Stamp the targets against the drifted world these rebuilds consume;
   // untouched queries keep the stamps of the world they were built

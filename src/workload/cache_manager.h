@@ -1,10 +1,10 @@
 // Workload-scale cache construction: builds one PINUM cache per
 // distinct workload statement concurrently, hands repeated statements
-// the same sealed cache, and shares access-cost optimizer calls across
-// queries with the same table footprints. This scales the paper's
-// per-query procedure ("caching all plans with just one optimizer
-// call") to whole workloads — the input the index advisor actually
-// consumes.
+// the same sealed cache, and shares access-cost optimizer calls among
+// the queries of one build batch whose table footprints match. This
+// scales the paper's per-query procedure ("caching all plans with just
+// one optimizer call") to whole workloads — the input the index
+// advisor actually consumes.
 #ifndef PINUM_WORKLOAD_CACHE_MANAGER_H_
 #define PINUM_WORKLOAD_CACHE_MANAGER_H_
 
@@ -31,13 +31,6 @@ struct WorkloadCacheOptions {
   /// 0 = one thread per hardware core; 1 = strictly serial (the
   /// determinism baseline).
   int num_threads = 0;
-  /// Share work across queries: build each distinct statement (every
-  /// Query field but the name) once and give its repeats the same sealed
-  /// cache, and deduplicate access-cost optimizer calls across queries
-  /// through a SharedAccessCostStore. Cache *values* are identical either
-  /// way; only the number of optimizer calls and builds changes. Off is
-  /// the per-query baseline: every query pays its own build.
-  bool share_across_queries = true;
   /// Per-query knobs. The shared_access field is managed by the builder
   /// and ignored if set.
   PinumBuildOptions pinum;
@@ -59,9 +52,10 @@ struct QueryBuildStats {
 struct WorkloadCacheStats {
   int64_t plan_cache_calls = 0;
   int64_t access_cost_calls = 0;
-  /// Access-cost optimizer calls avoided via cross-query sharing. Under
-  /// concurrency two queries can race to compute the same entry, so the
-  /// split between calls and saved calls can depend on scheduling (see
+  /// Access-cost optimizer calls answered by another statement of the
+  /// same batch with equal table footprints. Under concurrency two
+  /// statements can race to compute the same entry, so the split between
+  /// calls and saved calls can depend on scheduling (see
   /// SharedAccessCostStore); the cache contents never do.
   int64_t access_calls_saved = 0;
   /// Queries that repeated an earlier statement of their batch and
@@ -111,8 +105,12 @@ struct WorkloadCacheResult {
 };
 
 /// Builds per-query plan caches for an entire workload. One instance is
-/// bound to a fixed (base catalog, candidate universe, statistics); its
-/// shared store must not be reused across different universes.
+/// bound to a (base catalog, candidate universe, statistics) by pointer
+/// and reads that world as it is at each call, so a drift between calls
+/// (ApplyDrift) needs no notice. Nothing outlives a call but the thread
+/// pool: each BuildAll or RebuildQueries batch shares access-cost
+/// answers through its own SharedAccessCostStore, which dies with the
+/// batch.
 class WorkloadCacheBuilder {
  public:
   WorkloadCacheBuilder(const Catalog* base_catalog,
@@ -123,24 +121,20 @@ class WorkloadCacheBuilder {
   /// Builds every query's cache (concurrently when num_threads != 1) and
   /// seals it for serving inside the same pool task. result.sealed[i]
   /// corresponds to queries[i]; the first per-query build error aborts
-  /// the batch. With share_across_queries, each distinct statement is
-  /// built once and its repeats get copies of its sealed cache, with
-  /// zero optimizer calls and shared_builds = 1 in their per_query rows
-  /// (the paper workload replicated 3x pays 65 plan calls, not 195).
-  /// Also records the per-table epoch fingerprints the build ran under,
-  /// which a later RebuildQueries diffs to invalidate exactly the
-  /// drifted tables' shared access-cost entries.
+  /// the batch. Each distinct statement is built once and its repeats
+  /// get copies of its sealed cache, with zero optimizer calls and
+  /// shared_builds = 1 in their per_query rows (the paper workload
+  /// replicated 3x pays 65 plan calls, not 195).
   StatusOr<WorkloadCacheResult> BuildAll(const std::vector<Query>& queries);
 
   /// The build-time form of one query's cache, on request: the
-  /// per-statement body BuildAll and RebuildQueries run before sealing
-  /// (same planner knobs and shared access-cost store), for callers that
-  /// need the harvested plans themselves: the golden corpus's per-plan lines,
-  /// including plans the seal prunes, and test oracles. It reads the
-  /// shared store as the last BuildAll/RebuildQueries left it, so call
-  /// it under the world that build consumed. Fires the
-  /// workload.build_query failpoint; `query_stats`, when given, receives
-  /// the optimizer-call accounting.
+  /// per-statement body BuildAll and RebuildQueries run before sealing,
+  /// with the same planner knobs and no access-cost store — the
+  /// unshared per-query baseline. For callers that need the harvested
+  /// plans themselves (the golden corpus's per-plan lines, including
+  /// plans the seal prunes, and test oracles) or one query's own
+  /// optimizer calls. Fires the workload.build_query failpoint;
+  /// `query_stats`, when given, receives the optimizer-call accounting.
   StatusOr<InumCache> BuildQueryCache(const Query& query,
                                       QueryBuildStats* query_stats = nullptr);
 
@@ -156,13 +150,10 @@ class WorkloadCacheBuilder {
   /// Costs k stale queries' worth of optimizer calls instead of a
   /// whole-workload rebuild, and fewer when stale queries repeat a
   /// statement: like BuildAll, it builds each distinct statement among
-  /// the named queries once (the caches of queries not named are never
-  /// reused for them):
+  /// the named queries once, sharing access-cost answers only within
+  /// this batch (the caches of queries not named are never reused for
+  /// them):
   ///
-  ///  - shared access-cost entries are invalidated per table, not
-  ///    wholesale: tables whose epoch fingerprint (schema slice, stats,
-  ///    indexes on the table) drifted since the last build lose their
-  ///    entries, still-valid cross-query answers keep serving;
   ///  - rebuilt queries reseal against the *current* universe
   ///    (candidates appended since BuildAll become priceable), while
   ///    untouched queries keep their sealed form — which prices
@@ -266,19 +257,26 @@ class WorkloadCacheBuilder {
  private:
   /// Builds and seals queries[targets[j]] into (*sealed)[j] and
   /// (*stats)[j]: the shared body of BuildAll and RebuildQueries.
-  /// `stamps[j]` is QueryStamp(queries[targets[j]]). With
-  /// share_across_queries, targets are grouped by statement (bucketed by
-  /// stamp, confirmed by Query::SameStatement, so a stamp collision never
-  /// shares a cache) and each group's first target is built in one pool
-  /// task; the others copy its sealed cache after the pool finishes.
-  /// Otherwise every target is its own task. Returns the first failure
-  /// (annotated with the query name) once every task has finished;
-  /// `seal_ms` receives the summed per-build seal time.
+  /// `stamps[j]` is QueryStamp(queries[targets[j]]). Targets are grouped
+  /// by statement (bucketed by stamp, confirmed by Query::SameStatement,
+  /// so a stamp collision never shares a cache) and each group's first
+  /// target is built in one pool task; the others copy its sealed cache
+  /// after the pool finishes. The builds share one SharedAccessCostStore
+  /// that lives for this call only, so every answer it serves was
+  /// computed under the world this batch reads. Returns the first
+  /// failure (annotated with the query name) once every task has
+  /// finished; `seal_ms` receives the summed per-build seal time.
   Status BuildAndSeal(const std::vector<Query>& queries,
                       const std::vector<size_t>& targets,
                       const std::vector<uint64_t>& stamps,
                       std::vector<SealedCache>* sealed,
                       std::vector<QueryBuildStats>* stats, double* seal_ms);
+
+  /// One query's build, reading and filling `store` when it is not null:
+  /// BuildQueryCache passes none, BuildAndSeal its batch store.
+  StatusOr<InumCache> BuildOne(const Query& query,
+                               SharedAccessCostStore* store,
+                               QueryBuildStats* query_stats);
 
   /// Optimizer calls summed from `stats` plus plan, pruning, term and
   /// posting counts summed from `sealed`; wall/seal times are left zero
@@ -286,21 +284,11 @@ class WorkloadCacheBuilder {
   static WorkloadCacheStats SumCounts(const std::vector<QueryBuildStats>& stats,
                                       const std::vector<SealedCache>& sealed);
 
-  /// Diffs the live per-table epoch fingerprints against the ones the
-  /// last build recorded, invalidates drifted tables' store entries, and
-  /// re-records. Returns the drifted tables.
-  std::vector<TableId> RefreshTableFingerprints(
-      const std::vector<Query>& queries);
-
   const Catalog* base_catalog_;
   const CandidateSet* candidates_;
   const StatsCatalog* stats_;
   WorkloadCacheOptions options_;
   ThreadPool pool_;
-  SharedAccessCostStore store_;
-  /// Per-table epoch fingerprints (snapshot.h) as of the last
-  /// BuildAll/RebuildQueries, for exact store invalidation under drift.
-  std::map<TableId, uint64_t> table_fingerprints_;
 };
 
 }  // namespace pinum

@@ -64,7 +64,7 @@ void RunDifferentialCase(const Catalog& catalog,
   *built = std::move(*rebuilt);
 
   // The comparator: a cold whole-workload build under the drifted
-  // world, from a fresh builder with an empty shared store.
+  // world, from a fresh builder.
   WorkloadCacheBuilder cold_builder(&catalog, &set, &stats, opts);
   auto cold = cold_builder.BuildAll(queries);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
@@ -497,38 +497,6 @@ TEST(IncrementalResealMiniTest, VaryQueryMixComposesWithUniqueNames) {
           << "duplicate name '" << q.name << "' in round " << round;
     }
   }
-}
-
-TEST(IncrementalResealMiniTest, SharedStoreKeepsValidEntriesAcrossDrift) {
-  // The half of the reseal contract call counting can see: rebuilding a
-  // clone whose tables did NOT drift re-serves every access cost from
-  // the shared store (0 calls), while a drifted table's entries are
-  // gone and must be re-paid.
-  MiniWorkloadFixture mini;
-  std::vector<Query> repeated = {mini.queries[0], mini.queries[0]};
-  repeated[1].name = "clone";
-
-  WorkloadCacheOptions opts;
-  opts.num_threads = 1;
-  WorkloadCacheBuilder builder(&mini.mini.db.catalog(), &mini.set,
-                               &mini.mini.db.stats(), opts);
-  auto built = builder.BuildAll(repeated);
-  ASSERT_TRUE(built.ok());
-
-  // No drift: the rebuilt clone shares everything.
-  WorkloadCacheStats totals;
-  ASSERT_TRUE(
-      builder.RebuildQueries({"clone"}, repeated, *built, &totals).ok());
-  EXPECT_EQ(totals.access_cost_calls, 0);
-  EXPECT_EQ(totals.access_calls_saved, 1);
-
-  // Drift d1 (the join query touches fact and d1): its entries are
-  // invalidated, so the rebuild re-pays the access call.
-  DriftTableStats(mini.mini.db.catalog(), mini.mini.d1, 2.0,
-                  &mini.mini.db.stats());
-  ASSERT_TRUE(
-      builder.RebuildQueries({"clone"}, repeated, *built, &totals).ok());
-  EXPECT_GT(totals.access_cost_calls, 0);
 }
 
 }  // namespace

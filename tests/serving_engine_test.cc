@@ -286,24 +286,60 @@ TEST_F(ServingEngineTest, StaleNamesTracksDriftAndResealClearsIt) {
 }
 
 TEST_F(ServingEngineTest, StaleNamesCoversAResultShorterThanTheWorkload) {
-  // A result built for all but the last query is not parallel to the
-  // engine's queries (a shorter snapshot's mapped result is the same
-  // case): every query reads as stale, and a reseal cannot repair it
-  // (regression: the stamp diff read past the end of the result's
-  // stamps).
-  const std::vector<Query> shorter(queries().begin(), queries().end() - 1);
-  WorkloadCacheBuilder builder(&catalog(), &set_, &stats_);
-  auto built = builder.BuildAll(shorter);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  ServingEngine engine(&builder, &queries(), std::move(*built));
-
+  // A result built for all but the last query, or for the workload
+  // plus its first query again, is not parallel to the engine's queries
+  // (a shorter or longer snapshot's mapped result is the same case):
+  // every query reads as stale, a reseal cannot repair it (regression:
+  // the stamp diff read past the end of the result's stamps), and every
+  // pricing request fails instead of summing caches that do not belong
+  // to the workload's queries (regression: Cost summed 5 of 6).
+  const std::vector<Query>& all = queries();
+  std::vector<Query> longer = all;
+  longer.push_back(all.front());
+  longer.back().name += "_extra";
+  const std::vector<std::vector<Query>> workloads = {
+      std::vector<Query>(all.begin(), all.end() - 1), longer};
   std::vector<std::string> every;
-  for (const Query& q : queries()) every.push_back(q.name);
-  EXPECT_EQ(engine.StaleNames(), every);
-  auto resealed = engine.CheckAndReseal();
-  ASSERT_FALSE(resealed.ok());
-  EXPECT_EQ(resealed.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine.CurrentGenerationId(), 1u);
+  for (const Query& q : all) every.push_back(q.name);
+  WorkloadCacheBuilder builder(&catalog(), &set_, &stats_);
+  for (const std::vector<Query>& built_for : workloads) {
+    SCOPED_TRACE("result built for " + std::to_string(built_for.size()) +
+                 " of " + std::to_string(all.size()) + " queries");
+    auto built = builder.BuildAll(built_for);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ServingEngine engine(&builder, &all, std::move(*built));
+
+    EXPECT_EQ(engine.StaleNames(), every);
+    auto resealed = engine.CheckAndReseal();
+    ASSERT_FALSE(resealed.ok());
+    EXPECT_EQ(resealed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine.CurrentGenerationId(), 1u);
+
+    const std::string sizes = std::to_string(built_for.size()) +
+                              " caches, " +
+                              std::to_string(built_for.size()) + " stamps";
+    const std::string count = std::to_string(all.size()) + " queries";
+    auto expect_rejected = [&](const Status& status) {
+      EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+          << status.ToString();
+      EXPECT_NE(status.message().find(sizes), std::string::npos)
+          << status.ToString();
+      EXPECT_NE(status.message().find(count), std::string::npos)
+          << status.ToString();
+    };
+    const IndexConfig config = {set_.candidate_ids.front()};
+    const CostAnswer answer = engine.Cost(config);
+    expect_rejected(answer.status);
+    EXPECT_EQ(answer.generation, 0u);
+    const std::vector<CostAnswer> batch = engine.BatchCost({config, {}});
+    ASSERT_EQ(batch.size(), 2u);
+    for (const CostAnswer& a : batch) expect_rejected(a.status);
+    auto submitted = engine.SubmitCost(config);
+    ASSERT_FALSE(submitted.ok());
+    expect_rejected(submitted.status());
+    EXPECT_EQ(engine.Pending(), 0u);
+    expect_rejected(engine.Health().last_error);
+  }
 }
 
 TEST_F(ServingEngineTest, DriftWatcherPublishesInBackground) {

@@ -1,8 +1,9 @@
 // Workload-scale cache construction: WorkloadCacheBuilder correctness
 // (its PINUM caches against classic INUM's per-query baseline, single-
-// vs multi-threaded determinism), cross-query sharing (one build per
-// statement, access-cost-call deduplication) and its accounting, and
-// the batched advisor costing path.
+// vs multi-threaded determinism), cross-query sharing within a build
+// batch (one build per statement, access-cost-call deduplication)
+// against the unshared per-query builds, its accounting, a builder
+// reused across drift, and the batched advisor costing path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,37 @@
 
 namespace pinum {
 namespace {
+
+/// The unshared per-query baseline: every query's own BuildQueryCache on
+/// `builder`'s pool, sealed over `set`'s universe as BuildAll seals, with
+/// its optimizer calls in per_query and their sums in totals. Returns
+/// the first failed build's status.
+StatusOr<WorkloadCacheResult> BuildUnshared(WorkloadCacheBuilder* builder,
+                                            const std::vector<Query>& queries,
+                                            const CandidateSet& set) {
+  const size_t n = queries.size();
+  WorkloadCacheResult result;
+  result.sealed.resize(n);
+  result.per_query.resize(n);
+  std::vector<Status> statuses(n);
+  builder->pool()->ParallelFor(static_cast<int64_t>(n), [&](int64_t i) {
+    const size_t at = static_cast<size_t>(i);
+    auto cache = builder->BuildQueryCache(queries[at], &result.per_query[at]);
+    if (!cache.ok()) {
+      statuses[at] = cache.status();
+      return;
+    }
+    result.sealed[at] = SealedCache::Seal(*cache, set.NumIndexIds());
+  });
+  for (size_t i = 0; i < n; ++i) {
+    PINUM_RETURN_IF_ERROR(statuses[i]);
+    result.totals.plan_cache_calls += result.per_query[i].plan_cache_calls;
+    result.totals.access_cost_calls += result.per_query[i].access_cost_calls;
+    result.totals.access_calls_saved +=
+        result.per_query[i].access_calls_saved;
+  }
+  return result;
+}
 
 class WorkloadCacheTest : public ::testing::Test {
  protected:
@@ -137,12 +169,13 @@ TEST_F(WorkloadCacheTest, ConcurrentBuildsAreDeterministic) {
 TEST_F(WorkloadCacheTest, SharingDoesNotChangeCosts) {
   WorkloadCacheOptions shared;
   shared.num_threads = 1;
-  shared.share_across_queries = true;
   const WorkloadCacheResult a = Build(shared);
 
-  WorkloadCacheOptions unshared = shared;
-  unshared.share_across_queries = false;
-  const WorkloadCacheResult b = Build(unshared);
+  WorkloadCacheBuilder builder(&mini_.db.catalog(), &set_,
+                               &mini_.db.stats(), shared);
+  auto unshared = BuildUnshared(&builder, queries_, set_);
+  ASSERT_TRUE(unshared.ok()) << unshared.status().ToString();
+  const WorkloadCacheResult& b = *unshared;
 
   Rng rng(17);
   for (size_t qi = 0; qi < queries_.size(); ++qi) {
@@ -182,17 +215,14 @@ TEST_F(WorkloadCacheTest, SharingPreservesBaseIndexCosts) {
 
   WorkloadCacheOptions opts;
   opts.num_threads = 1;
-  WorkloadCacheBuilder shared_b(&mini.db.catalog(), &*set, &mini.db.stats(),
-                                opts);
-  auto shared = shared_b.BuildAll(repeated);
+  WorkloadCacheBuilder builder(&mini.db.catalog(), &*set, &mini.db.stats(),
+                               opts);
+  auto shared = builder.BuildAll(repeated);
   ASSERT_TRUE(shared.ok());
   // The clone's access-cost call must have been deduplicated.
   EXPECT_EQ(shared->per_query[1].access_calls_saved, 1);
 
-  opts.share_across_queries = false;
-  WorkloadCacheBuilder unshared_b(&mini.db.catalog(), &*set,
-                                  &mini.db.stats(), opts);
-  auto unshared = unshared_b.BuildAll(repeated);
+  auto unshared = BuildUnshared(&builder, repeated, *set);
   ASSERT_TRUE(unshared.ok());
 
   const std::vector<IndexConfig> configs = {
@@ -210,14 +240,25 @@ TEST_F(WorkloadCacheTest, SharingPreservesBaseIndexCosts) {
 
   // Pin the invariant at the access table itself (stronger than Cost,
   // which can mask a missing entry when the affected plan loses the
-  // min anyway): the clone's d1 entries — served from the store — must
-  // match the unshared build's, including the base index's probe and
-  // scan costs.
+  // min anyway): the clone's d1 entries — served from a store the twin
+  // filled — must match the unshared build's, including the base
+  // index's probe and scan costs.
   const int d1_pos = repeated[1].PosOfTable(mini.d1);
   const ColumnRef d1_id{mini.d1, 0};
   const IndexConfig base_only = {*base_id};
-  auto shared_clone = shared_b.BuildQueryCache(repeated[1]);
-  auto unshared_clone = unshared_b.BuildQueryCache(repeated[1]);
+  SharedAccessCostStore store;
+  PinumBuildOptions popts = opts.pinum;
+  popts.shared_access = &store;
+  PinumBuildStats twin_stats;
+  PinumBuildStats clone_stats;
+  ASSERT_TRUE(BuildInumCachePinum(repeated[0], mini.db.catalog(), *set,
+                                  mini.db.stats(), popts, &twin_stats)
+                  .ok());
+  auto shared_clone = BuildInumCachePinum(
+      repeated[1], mini.db.catalog(), *set, mini.db.stats(), popts,
+      &clone_stats);
+  EXPECT_EQ(clone_stats.access_calls_saved, 1);
+  auto unshared_clone = builder.BuildQueryCache(repeated[1]);
   ASSERT_TRUE(shared_clone.ok() && unshared_clone.ok());
   const AccessCostTable& shared_acc = shared_clone->access();
   const AccessCostTable& unshared_acc = unshared_clone->access();
@@ -250,10 +291,7 @@ TEST_F(WorkloadCacheTest, SharedStoreDropsAccessCostCalls) {
   EXPECT_EQ(result->per_query[1].access_cost_calls, 0);
   EXPECT_EQ(result->per_query[1].access_calls_saved, 1);
 
-  opts.share_across_queries = false;
-  WorkloadCacheBuilder unshared(&mini_.db.catalog(), &set_,
-                                &mini_.db.stats(), opts);
-  auto baseline = unshared.BuildAll(repeated);
+  auto baseline = BuildUnshared(&builder, repeated, set_);
   ASSERT_TRUE(baseline.ok());
   EXPECT_LT(result->totals.access_cost_calls,
             baseline->totals.access_cost_calls);
@@ -329,10 +367,10 @@ TEST_F(WorkloadCacheTest, BatchCostMatchesSingleCost) {
 }
 
 // Every workload family (src/workload/workload_family.h): sharing work
-// across queries (whole builds for repeated statements, access-cost
-// answers for equal table footprints) never changes what a cache
-// prices. The trace line prints (family, seed) so a failure reproduces
-// alone.
+// across the queries of a batch (whole builds for repeated statements,
+// access-cost answers for equal table footprints) never changes what a
+// cache prices, and neither does reusing a builder across drift. The
+// trace line prints (family, seed) so a failure reproduces alone.
 class FamilySharingTest : public ::testing::TestWithParam<std::string> {
  protected:
   /// `a[i]` and `b[i]` price every sampled configuration bit-identically.
@@ -386,9 +424,7 @@ TEST_P(FamilySharingTest, RepeatsShareOneBuildPerStatement) {
   WorkloadCacheBuilder builder(&fix->catalog(), &set, &stats, opts);
   auto shared = builder.BuildAll(queries);
   ASSERT_TRUE(shared.ok()) << shared.status().ToString();
-  opts.share_across_queries = false;
-  WorkloadCacheBuilder baseline(&fix->catalog(), &set, &stats, opts);
-  auto unshared = baseline.BuildAll(queries);
+  auto unshared = BuildUnshared(&builder, queries, set);
   ASSERT_TRUE(unshared.ok()) << unshared.status().ToString();
 
   // One build per statement; a repeat holds its twin's seal (one arena)
@@ -456,7 +492,7 @@ TEST_P(FamilySharingTest, RepeatsShareOneBuildPerStatement) {
   }
   EXPECT_EQ(builds, static_cast<int64_t>(stale_sql.size()));
   WorkloadCacheBuilder cold(&fix->catalog(), &set, &stats, opts);
-  auto rebuilt = cold.BuildAll(queries);
+  auto rebuilt = BuildUnshared(&cold, queries, set);
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
   ExpectSamePricing(queries, set, *resealed, *rebuilt, 103);
 }
@@ -503,13 +539,58 @@ TEST_P(FamilySharingTest, OrderedStatementsPriceLikeTheirOwnBuilds) {
                                  opts);
     auto shared = builder.BuildAll(queries);
     ASSERT_TRUE(shared.ok()) << shared.status().ToString();
-    opts.share_across_queries = false;
-    WorkloadCacheBuilder baseline(&fix->catalog(), &fix->set, &fix->stats(),
-                                  opts);
-    auto unshared = baseline.BuildAll(queries);
+    auto unshared = BuildUnshared(&builder, queries, fix->set);
     ASSERT_TRUE(unshared.ok()) << unshared.status().ToString();
     ExpectSamePricing(queries, fix->set, *shared, *unshared, 107);
   }
+}
+
+TEST_P(FamilySharingTest, ReusedBuilderPricesLikeAFreshOneAfterDrift) {
+  // A builder keeps nothing but its pool between calls, so after a
+  // drift its per-query builds, its reseal and its whole-workload build
+  // all price like a fresh builder's under the drifted world. The
+  // per-query builds run first, before any batch could refresh what
+  // the pre-drift BuildAll learned.
+  auto fix = MakeFamilyFixture(GetParam());
+  ASSERT_NE(fix, nullptr);
+  SCOPED_TRACE(fix->trace());
+  std::vector<Query> queries;
+  for (int r = 0; r < 2; ++r) {
+    for (const Query& q : fix->queries()) {
+      queries.push_back(q);
+      queries.back().name += "_r" + std::to_string(r);
+    }
+  }
+  CandidateSet set = fix->set;
+  StatsCatalog stats = fix->stats();
+  WorkloadCacheOptions opts;
+  opts.num_threads = 2;
+  WorkloadCacheBuilder reused(&fix->catalog(), &set, &stats, opts);
+  auto built = reused.BuildAll(queries);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+
+  auto drift = ApplyDrift(queries, &set, &stats, queries.size() / 2, 109);
+  ASSERT_TRUE(drift.ok()) << drift.status().ToString();
+  ASSERT_FALSE(drift->stale_queries.empty());
+  WorkloadCacheBuilder fresh(&fix->catalog(), &set, &stats, opts);
+  auto want = fresh.BuildAll(queries);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  auto want_each = BuildUnshared(&fresh, queries, set);
+  ASSERT_TRUE(want_each.ok()) << want_each.status().ToString();
+
+  auto each = BuildUnshared(&reused, queries, set);
+  ASSERT_TRUE(each.ok()) << each.status().ToString();
+  ExpectSamePricing(queries, set, *each, *want_each, 113);
+  auto resealed =
+      reused.RebuildQueries(drift->stale_queries, queries, *built);
+  ASSERT_TRUE(resealed.ok()) << resealed.status().ToString();
+  ExpectSamePricing(queries, set, *resealed, *want, 127);
+  auto rebuilt = reused.BuildAll(queries);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  ExpectSamePricing(queries, set, *rebuilt, *want, 131);
+  EXPECT_EQ(rebuilt->totals.plan_cache_calls, want->totals.plan_cache_calls);
+  EXPECT_EQ(rebuilt->totals.access_cost_calls,
+            want->totals.access_cost_calls);
 }
 
 INSTANTIATE_TEST_SUITE_P(
